@@ -32,9 +32,13 @@
 //! 5. the turbo engine pinned to the **scalar** match kernel — the pre-SIMD
 //!    baseline, so the committed report carries both sides of the SIMD
 //!    trajectory (`simd_speedup` = scalar wall / dispatched wall) together
-//!    with the host's ISA path and CPU feature flags;
-//! 6. the multi-lane **batched** frame driver at several lane widths,
-//!    byte-identical to the serial frame writer at each.
+//!    with the host's ISA path and CPU feature flags.
+//!
+//! Schema v4 is v3 without its `batch` section.
+//!
+//! The console line prints every MB/s figure twice, labelled: `engine` is
+//! token production alone, `e2e` adds the shared encode stage and is the
+//! figure the JSON reports as `mb_per_s` / `mb_per_s_wall`.
 //!
 //! Results land in `BENCH_throughput.json` (schema documented in
 //! `DESIGN.md`). With `--metrics PATH` the harness additionally collects
@@ -92,17 +96,13 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lzfpga_container::FrameConfig;
 use lzfpga_core::compressor::HwCompressor;
 use lzfpga_core::config::CLOCK_HZ;
 use lzfpga_core::HwConfig;
 use lzfpga_deflate::encoder::BlockKind;
 use lzfpga_deflate::zlib::zlib_compress_tokens;
 use lzfpga_lzss::{CompressionLevel, MatchKernel, TurboEngine};
-use lzfpga_parallel::{
-    compress_frames_batched, compress_frames_parallel, compress_parallel, EngineKind,
-    ParallelConfig,
-};
+use lzfpga_parallel::{compress_parallel, EngineKind, ParallelConfig};
 use lzfpga_telemetry::json::obj;
 use lzfpga_telemetry::{JsonValue, JsonlWriter, TurboCounters};
 use lzfpga_workloads::{generate, Corpus};
@@ -120,8 +120,6 @@ const TURBO_REPS: usize = 9;
 /// but host scheduling noise easily exceeds 2x, so one sample is not a
 /// measurement.
 const MODEL_REPS: usize = 5;
-/// Lane widths exercised in the batched-frames section.
-const LANE_COUNTS: [usize; 3] = [1, 4, 8];
 /// Relative `speedup_engine` drop (vs the committed baseline) that fails
 /// the `--gate` check.
 const GATE_TOLERANCE: f64 = 0.10;
@@ -201,7 +199,7 @@ fn host_json() -> String {
 }
 
 /// Read `workloads[name == workload]`'s engine speedup out of a single
-/// report or trajectory entry. Full reports (v2/v3) nest the metric under
+/// report or trajectory entry. Full reports (v2-v4) nest the metric under
 /// `turbo`; compact trajectory entries record it flat.
 fn workload_speedup(node: &JsonValue, workload: &str) -> Option<f64> {
     for w in node.get("workloads")?.as_array()? {
@@ -216,7 +214,7 @@ fn workload_speedup(node: &JsonValue, workload: &str) -> Option<f64> {
 }
 
 /// Read the gate metric out of a committed baseline. Accepts both shapes:
-/// a single throughput report (v2/v3), or a trajectory file
+/// a single throughput report (v2-v4), or a trajectory file
 /// (`lzfpga-bench/trajectory/v1`) whose *first* entry is the frozen
 /// baseline — later entries are the per-PR history and never move the bar.
 fn baseline_speedup(root: &JsonValue, workload: &str) -> Result<f64, String> {
@@ -656,48 +654,15 @@ fn run() -> Result<(), String> {
         );
         traj_rows.push(traj_row);
 
-        // 6. Multi-lane batched frames: one worker so the measurement is
-        //    the lane interleaving itself, not thread parallelism. The
-        //    serial framed stream is the byte-identity oracle.
-        let frame_cfg = FrameConfig {
-            frame_bytes: CHUNK_BYTES,
-            collect_events: false,
-            ..FrameConfig::default()
-        };
-        let batch_cfg = ParallelConfig {
-            chunk_bytes: CHUNK_BYTES,
-            workers: 1,
-            instances: 1,
-            hw,
-            engine: EngineKind::Turbo,
-            telemetry: false,
-        };
-        let serial_framed = compress_frames_parallel(&data, &batch_cfg, &frame_cfg)
-            .map_err(|e| format!("framed config: {e}"))?
-            .framed;
-        let mut batch_entries = Vec::new();
-        for lanes in LANE_COUNTS {
-            let (wall, rep) = measure(TURBO_REPS, || {
-                compress_frames_batched(&data, &batch_cfg, &frame_cfg, lanes)
-                    .expect("valid batch config")
-            });
-            assert_eq!(
-                rep.framed, serial_framed,
-                "{name}: batched frames changed at {lanes} lanes"
-            );
-            batch_entries.push(format!(
-                "{{\"lanes\":{lanes},\"wall_s\":{},\"mb_per_s\":{},\"identical\":true}}",
-                json_f(wall),
-                json_f(mb_per_s(data.len(), wall))
-            ));
-        }
-
         println!(
-            "  {name:<16} ratio {ratio:>5.2}  model {:>7.2} MB/s ({model_mb_modelled:>6.1} modelled)  \
-             turbo {:>7.2} MB/s  engine {engine_speedup:>5.2}x  e2e {turbo_speedup:>5.2}x  \
+            "  {name:<16} ratio {ratio:>5.2}  model engine {:>7.2} e2e {:>7.2} MB/s \
+             ({model_mb_modelled:>6.1} modelled)  turbo engine {:>7.2} e2e {:>7.2} MB/s  \
+             speedup engine {engine_speedup:>5.2}x e2e {turbo_speedup:>5.2}x  \
              simd {simd_speedup:>4.2}x (deep {simd_speedup_deep:>4.2}x)",
             mb_per_s(data.len(), model_engine_wall),
+            mb_per_s(data.len(), model_wall),
             mb_per_s(data.len(), turbo_tokens_wall),
+            mb_per_s(data.len(), turbo_wall),
         );
 
         // One object holding all three execution paths' telemetry; embedded
@@ -731,8 +696,7 @@ fn run() -> Result<(), String> {
              \"speedup_end_to_end\":{},\"identical_to_model\":true,\
              \"scalar_tokens_wall_s\":{},\"mb_per_s_scalar\":{},\"simd_speedup\":{},\
              \"deep\":{{\"level\":\"max\",\"tokens_wall_s\":{},\"scalar_tokens_wall_s\":{},\"simd_speedup\":{}}}}},\
-             \"parallel\":{{\"chunk_bytes\":{CHUNK_BYTES},\"runs\":[{}]}},\
-             \"batch\":{{\"frame_bytes\":{CHUNK_BYTES},\"runs\":[{}]}}{telemetry_field}}}",
+             \"parallel\":{{\"chunk_bytes\":{CHUNK_BYTES},\"runs\":[{}]}}{telemetry_field}}}",
             data.len(),
             json_f(ratio),
             json_f(encode_wall),
@@ -752,14 +716,13 @@ fn run() -> Result<(), String> {
             json_f(deep_wall),
             json_f(deep_scalar_wall),
             json_f(simd_speedup_deep),
-            parallel_entries.join(","),
-            batch_entries.join(",")
+            parallel_entries.join(",")
         );
         entries.push(e);
     }
 
     let json = format!(
-        "{{\"schema\":\"lzfpga-bench/throughput/v3\",\"seed\":{seed},\"clock_hz\":{CLOCK_HZ},\
+        "{{\"schema\":\"lzfpga-bench/throughput/v4\",\"seed\":{seed},\"clock_hz\":{CLOCK_HZ},\
          \"host\":{},\"workloads\":[{}]}}\n",
         host_json(),
         entries.join(",")

@@ -43,8 +43,8 @@ use lzfpga_obs::{
     frame_span_tree, prometheus_text, snapshot_to_json, MetricsRegistry, StatsAggregate,
 };
 use lzfpga_parallel::{
-    compress_frames_batched, compress_frames_parallel, compress_parallel, decode_range_parallel,
-    decompress_frames_parallel, EngineKind, ParallelConfig,
+    compress_frames_parallel, compress_parallel, decode_range_parallel, decompress_frames_parallel,
+    EngineKind, ParallelConfig,
 };
 use lzfpga_server::{connect_with_retry, Client, ClientError, RetryPolicy, Server, ServerConfig};
 use lzfpga_telemetry::json::obj;
@@ -61,7 +61,7 @@ lzfpga <compress|decompress|frame|unframe|salvage|resume|stats|serve|client|gen|
              [--prometheus OUT.prom] [-o OUT] [FILE]
   decompress [--engine hw|sw] [--dict FILE] [--max-output-bytes N] [-o OUT] [FILE]
   frame      [--engine hw|sw|turbo] [--window N] [--hash N] [--level L]
-             [--frame-size N] [--parallel] [--workers N] [--lanes N] [--stats]
+             [--frame-size N] [--parallel] [--workers N] [--stats]
              [--metrics OUT.jsonl] [--trace-events OUT.json]
              [--prometheus OUT.prom] [-o OUT] [FILE]  (LZFC framed container)
   unframe    [--parallel] [--workers N] [--metrics OUT.jsonl]
@@ -111,8 +111,6 @@ aggregates one or many such files). --prometheus also exports the snapshot in
 Prometheus text exposition format. --trace-events writes a chrome://tracing /
 Perfetto trace: compress needs --parallel; frame/resume rebuild the causal
 file->frame->stage tree on every path.
-`frame --lanes N` interleaves N frames per batch through one SIMD kernel
-loop (the multi-lane driver); output bytes are identical either way.
 `cat --range A..B` slices the *uncompressed* byte space (END omitted = EOF);
 streams without an index are served through a scan, damaged streams through
 salvage (exact prefix only). --cache-bytes bounds the decoded-frame cache.
@@ -156,7 +154,6 @@ struct CommonOpts {
     chunk_bytes: usize,
     frame_bytes: usize,
     workers: usize,
-    lanes: usize,
     metrics: Option<String>,
     trace_events: Option<String>,
     prometheus: Option<String>,
@@ -196,7 +193,6 @@ impl Default for CommonOpts {
             chunk_bytes: 256 * 1024,
             frame_bytes: 256 * 1024,
             workers: 0,
-            lanes: 0,
             metrics: None,
             trace_events: None,
             prometheus: None,
@@ -274,9 +270,6 @@ fn parse_opts(args: &[String]) -> Result<CommonOpts, String> {
             "--workers" => {
                 o.workers =
                     value("--workers")?.parse().map_err(|_| "bad --workers value".to_string())?;
-            }
-            "--lanes" => {
-                o.lanes = value("--lanes")?.parse().map_err(|_| "bad --lanes value".to_string())?;
             }
             "--dict" => o.dict = Some(value("--dict")?),
             "--max-output-bytes" => {
@@ -496,7 +489,6 @@ fn run_event(o: &CommonOpts, command: &str, input_bytes: usize, output_bytes: us
             .into(),
         ),
         ("parallel", o.parallel.into()),
-        ("lanes", (o.lanes as u64).into()),
         // The ISA path the auto-dispatched match kernel resolves to on this
         // host (scalar runs force it via LZFPGA_MATCH_KERNEL=scalar, which
         // this reports faithfully).
@@ -771,54 +763,6 @@ fn cmd_frame(o: &CommonOpts) -> Result<(), String> {
         ..FrameConfig::default()
     };
     let params = hw_config(o).as_lzss_params();
-    if o.lanes > 0 {
-        // Multi-lane batched driver: groups of --lanes frames interleave
-        // through one kernel loop; byte-identical to the serial writer.
-        let data = read_input(o.input.as_deref())?;
-        let cfg = ParallelConfig {
-            chunk_bytes: o.frame_bytes,
-            workers: o.workers,
-            instances: 1,
-            hw: hw_config(o),
-            engine: EngineKind::Turbo,
-            telemetry: wants_obs(o),
-        };
-        let rep =
-            compress_frames_batched(&data, &cfg, &frame_cfg, o.lanes).map_err(|e| e.to_string())?;
-        if o.stats {
-            eprintln!(
-                "framed: {} bytes -> {} bytes, {} frames of <= {} bytes in lanes of {}, \
-                 container ratio {:.3}",
-                rep.input_bytes,
-                rep.framed.len(),
-                rep.frames,
-                o.frame_bytes,
-                o.lanes,
-                rep.input_bytes as f64 / rep.framed.len().max(1) as f64
-            );
-        }
-        if let Some(path) = &o.trace_events {
-            // The batched driver records no live spans; rebuild the tree
-            // from the frame events' epoch timestamps.
-            let tree = frame_span_tree("frame (batched)", &rep.events);
-            atomic_write(path, trace_events_json(&tree).as_bytes())?;
-        }
-        if wants_obs(o) {
-            let reg = MetricsRegistry::new();
-            record_frames(&reg, &rep.events);
-            let mut events =
-                vec![("run", run_event(o, "frame", rep.input_bytes as usize, rep.framed.len()))];
-            if let Some(counters) = &rep.counters {
-                record_turbo(&reg, counters);
-                events.push(("turbo", counters.to_json()));
-            }
-            for e in &rep.events {
-                events.push(("frame", e.to_json()));
-            }
-            finish_metrics(o, &reg, events)?;
-        }
-        return write_output(o.output.as_deref(), &rep.framed);
-    }
     if o.parallel {
         let data = read_input(o.input.as_deref())?;
         let cfg = ParallelConfig {
@@ -1574,6 +1518,25 @@ mod tests {
         assert!(parse_opts(&strs(&["--bogus"])).is_err());
         assert!(parse_opts(&strs(&["--engine"])).is_err());
         assert!(parse_opts(&strs(&["--engine", "quantum"])).is_err());
+    }
+
+    #[test]
+    fn frame_refuses_the_removed_lanes_option() {
+        let dir = TestDir::new();
+        let input = dir.path().join("in.bin");
+        let out = dir.path().join("out.lzfc");
+        std::fs::write(&input, lzfpga_workloads::generate(Corpus::LogLines, 3, 20_000)).unwrap();
+        let err = run(strs(&[
+            "frame",
+            "--lanes",
+            "4",
+            "-o",
+            out.to_str().unwrap(),
+            input.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unknown option '--lanes'");
+        assert!(!out.exists(), "a refused command writes nothing");
     }
 
     #[test]

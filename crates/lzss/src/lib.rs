@@ -28,19 +28,17 @@
 //! * [`simd`] — the match-length kernels behind [`turbo`]: runtime-dispatched
 //!   SSE2/AVX2/NEON compares with the word-at-a-time scalar path as the
 //!   guaranteed fallback, all returning identical lengths.
-//! * [`batch`] — the multi-lane driver: N independent streams interleaved
-//!   through one kernel invocation loop, token-identical per lane to
-//!   [`turbo::TurboEngine`].
 //!
-//! Unsafe code is denied crate-wide and allowed in exactly one place: the
+//! Unsafe code is denied crate-wide and allowed in exactly two places: the
 //! `std::arch` intrinsics inside [`simd`], each load justified by the
-//! in-bounds argument documented there.
+//! in-bounds argument documented there, and the `#[target_feature]` matcher
+//! wrappers inside [`turbo`], whose CPU-support precondition is carried by
+//! the proof-carrying [`MatchKernel`] value.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod batch;
 pub mod classic;
 pub mod cost;
 pub mod decoder;
@@ -51,7 +49,6 @@ pub mod simd;
 pub mod turbo;
 
 pub use analysis::{analyze_tokens, TokenStats};
-pub use batch::BatchEngine;
 pub use decoder::{decode_tokens, DecodeError};
 pub use hash::HashFn;
 pub use params::{CompressionLevel, LzssParams};

@@ -51,7 +51,7 @@ use lzfpga_faults::{Failpoints, InjectedFault};
 use lzfpga_telemetry::{MatchProbe, NoProbe};
 
 /// Same threshold as the reference lazy path (zlib's `TOO_FAR`).
-pub(crate) const TOO_FAR: u32 = 4_096;
+const TOO_FAR: u32 = 4_096;
 
 /// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
 /// `limit`, compared a register at a time on the widest kernel the host
@@ -68,11 +68,11 @@ pub fn match_length_fast(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
 
 /// Per-run search geometry, hoisted out of the hot loop.
 #[derive(Clone, Copy)]
-pub(crate) struct Search {
+struct Search {
     /// Largest emittable distance (`max_distance(window_size)`).
-    pub(crate) max_dist: u32,
+    max_dist: u32,
     /// Stop searching once a match of this length is found.
-    pub(crate) nice: u32,
+    nice: u32,
 }
 
 /// zlib `INSERT_STRING`: file `pos` under `h`, return the old head.
@@ -83,7 +83,7 @@ pub(crate) struct Search {
 /// footprint of the reference's `usize` entries, which matters because the
 /// head table is hit at a random slot for every input position.
 #[inline]
-pub(crate) fn insert(head: &mut [u32], prev: &mut [u32], h: u32, pos: u32) -> u32 {
+fn insert(head: &mut [u32], prev: &mut [u32], h: u32, pos: u32) -> u32 {
     let slot = h as usize & (head.len() - 1);
     let old = head[slot];
     prev[pos as usize & (prev.len() - 1)] = old;
@@ -97,16 +97,16 @@ pub(crate) fn insert(head: &mut [u32], prev: &mut [u32], h: u32, pos: u32) -> u3
 /// the compare ISA at compile time; every kernel returns identical lengths,
 /// so the decisions here do not depend on it.
 ///
-/// `#[inline(always)]`, monomorphized per [`Compare`] impl: the engines
-/// dispatch on the ISA **once per compress call** (see
-/// [`TurboEngine::compress_into_probed`]) and run a whole match loop
+/// `#[inline(always)]`, monomorphized per [`Compare`] impl: the engine
+/// dispatches on the ISA **once per compress call** (see
+/// [`TurboEngine::compress_into_probed`]) and runs a whole match loop
 /// compiled inside the matching `#[target_feature]` context, so the vector
 /// compare fuses into this walk. Any finer-grained boundary measurably
 /// loses: an un-inlinable call per probe (dynamic
 /// [`MatchKernel::match_length`]) or even per position rivals the cost of
 /// the short compares that dominate real corpora.
 #[inline(always)]
-pub(crate) fn longest_match<P: MatchProbe, C: Compare>(
+fn longest_match<P: MatchProbe, C: Compare>(
     data: &[u8],
     pos: usize,
     mut cand: u32,
@@ -175,7 +175,7 @@ pub(crate) fn longest_match<P: MatchProbe, C: Compare>(
 /// are skipped exactly as before.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn insert_run<P: MatchProbe>(
+fn insert_run<P: MatchProbe>(
     data: &[u8],
     head: &mut [u32],
     prev: &mut [u32],
@@ -342,8 +342,8 @@ impl TurboEngine {
 
 /// Greedy-or-lazy switch, monomorphized over the compare kernel. The
 /// `#[target_feature]` wrappers below give each vector ISA a compilation
-/// context this whole loop nest inlines into; the engines and the batch
-/// driver dispatch to one of them exactly once per compress call.
+/// context this whole loop nest inlines into; the engine dispatches to one
+/// of them exactly once per compress call.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn run<S: TokenSink, P: MatchProbe, C: Compare>(

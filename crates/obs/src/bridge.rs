@@ -30,8 +30,6 @@ pub fn record_turbo(reg: &MetricsRegistry, c: &TurboCounters) {
     reg.counter("turbo_dispatch_neon").add(c.dispatch_neon);
     reg.gauge("turbo_bytes_per_probe").set(c.bytes_per_probe());
     reg.gauge("turbo_match_ratio").set(c.match_ratio());
-    reg.counter("turbo_lane_rounds").add(c.lane_occupancy.count());
-    reg.counter("turbo_lane_rounds_lanes").add(c.lane_occupancy.sum());
 }
 
 /// Fold container frame events in: outcome counters, byte totals, and the

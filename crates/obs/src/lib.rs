@@ -7,10 +7,10 @@
 //! * **[`registry`]** — the lock-free sharded [`MetricsRegistry`]:
 //!   static-site counters, gauges, and log-linear HDR-style histograms
 //!   with mergeable [`MetricsSnapshot`]s and saturating delta computation.
-//!   Every existing counter family (turbo/SIMD dispatch, batch lane
-//!   occupancy, parallel worker and stitcher stats, container frame and
-//!   salvage events, hw-model stats) re-homes here via [`bridge`] adapters
-//!   or [`MetricsRegistry::absorb`] on a report's JSON form.
+//!   Every existing counter family (turbo/SIMD dispatch, parallel worker
+//!   and stitcher stats, container frame and salvage events, hw-model
+//!   stats) re-homes here via [`bridge`] adapters or
+//!   [`MetricsRegistry::absorb`] on a report's JSON form.
 //! * **[`export`]** — dependency-free exporters: Prometheus text
 //!   exposition (plus a validating parser for tests) and JSONL snapshot
 //!   events for the existing sink.

@@ -73,9 +73,9 @@ use lzfpga_deflate::adler32::adler32;
 use lzfpga_deflate::crc32::Crc32;
 use lzfpga_deflate::encoder::{BlockKind, DeflateEncoder};
 use lzfpga_deflate::token::Token;
-use lzfpga_deflate::zlib::{zlib_compress_tokens, zlib_header};
+use lzfpga_deflate::zlib::zlib_header;
 use lzfpga_faults::{Failpoints, FailureReport, InjectedFault, NoFaults};
-use lzfpga_lzss::{BatchEngine, TurboEngine};
+use lzfpga_lzss::TurboEngine;
 use lzfpga_telemetry::{
     frame_span, span_args, stage_span, FrameEvent, FrameOutcome, PipelineTelemetry, SpanTimer,
     StitcherStats, TraceEvent, TurboCounters, WorkerStats, ROOT_SPAN,
@@ -143,8 +143,6 @@ pub enum ParallelConfigError {
         /// The offending frame size.
         frame_bytes: usize,
     },
-    /// The batched driver needs at least one lane.
-    NoLanes,
 }
 
 impl std::fmt::Display for ParallelConfigError {
@@ -157,7 +155,6 @@ impl std::fmt::Display for ParallelConfigError {
             ParallelConfigError::FrameTooLarge { frame_bytes } => {
                 write!(f, "frames above MAX_FRAME_BYTES do not fit LZFC headers (got {frame_bytes} bytes)")
             }
-            ParallelConfigError::NoLanes => write!(f, "at least one batch lane"),
         }
     }
 }
@@ -723,15 +720,12 @@ pub struct FramedParallelReport {
     pub failures: FailureReport,
     /// Per-frame telemetry, when [`FrameConfig::collect_events`] was set.
     pub events: Vec<FrameEvent>,
-    /// Aggregated turbo-engine match counters (kernel dispatch, lane
-    /// occupancy, match-loop counts). Present when the run compressed with
-    /// instrumentation — the batched driver or [`compress_frames_parallel`]
-    /// with [`ParallelConfig::telemetry`] set.
+    /// Aggregated turbo-engine match counters (kernel dispatch, match-loop
+    /// counts), present when [`ParallelConfig::telemetry`] was set.
     pub counters: Option<TurboCounters>,
     /// Causal chrome://tracing spans (one root file span, one span per
-    /// frame, stage children), when [`ParallelConfig::telemetry`] was set
-    /// on the per-frame driver. Empty on the batched driver and on plain
-    /// runs.
+    /// frame, stage children), when [`ParallelConfig::telemetry`] was set.
+    /// Empty on plain runs.
     pub trace_events: Vec<TraceEvent>,
 }
 
@@ -1235,345 +1229,6 @@ pub fn decode_range_parallel_with<F: Failpoints>(
     Ok(out)
 }
 
-/// Result of a multi-lane batched compression run over independent inputs.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// One standalone zlib stream per input, in input order. `streams[i]`
-    /// is byte-identical to single-stream compression of `inputs[i]` with
-    /// the same engine parameters.
-    pub streams: Vec<Vec<u8>>,
-    /// Total input size across all lanes.
-    pub input_bytes: u64,
-    /// Lane width the driver interleaved (the configured value, not the
-    /// tail group's width).
-    pub lanes: usize,
-    /// Aggregated match-loop counters (kernel dispatch, lane occupancy),
-    /// present when [`ParallelConfig::telemetry`] was set.
-    pub counters: Option<TurboCounters>,
-    /// Fault-tolerance ledger (batch → batch retry → reference fallback).
-    pub failures: FailureReport,
-}
-
-/// What one worker produced for a group of `lanes` consecutive inputs.
-enum GroupState<T> {
-    /// Per-lane results, in lane order.
-    Done(Vec<T>),
-    /// Every ladder rung failed; holds the attempts consumed.
-    Failed(u64),
-}
-
-/// Run the ladder for one group: batch engine, batch retry, then the
-/// reference compressor lane by lane (token-identical, so the fallback
-/// never changes output bytes). Returns the per-lane token streams.
-fn batch_group_tokens(
-    engine: &mut BatchEngine,
-    group: &[&[u8]],
-    params: &lzfpga_lzss::LzssParams,
-    counters: Option<&mut TurboCounters>,
-    local: &mut FailureReport,
-    frame_base: usize,
-) -> GroupState<Vec<Token>> {
-    let mut counters = counters;
-    let mut attempts = 0u64;
-    for attempt in 0..3u32 {
-        attempts += 1;
-        local.attempts += 1;
-        match attempt {
-            1 => local.retries += 1,
-            2 => local.degraded_chunks.extend(frame_base..frame_base + group.len()),
-            _ => {}
-        }
-        // Same unwind-isolation argument as the chunk workers: the batch
-        // engine re-zeroes its lane arenas per call, so a mid-batch panic
-        // leaves no poisoned state behind.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if attempt == 2 {
-                group.iter().map(|lane| lzfpga_lzss::compress(lane, params)).collect()
-            } else if let Some(c) = counters.as_deref_mut() {
-                engine.compress_batch_probed(group, params, c)
-            } else {
-                engine.compress_batch(group, params)
-            }
-        }));
-        match result {
-            Ok(tokens) => return GroupState::Done(tokens),
-            Err(_panic) => local.worker_restarts += 1,
-        }
-    }
-    local.failed_chunks.extend(frame_base..frame_base + group.len());
-    GroupState::Failed(attempts)
-}
-
-/// Compress independent inputs through the multi-lane batched driver: each
-/// group of `lanes` consecutive inputs interleaves through one kernel
-/// invocation loop ([`lzfpga_lzss::BatchEngine`]), groups fan out across
-/// worker threads, and every input becomes its own standalone zlib stream.
-///
-/// `streams[i]` is byte-identical to single-stream turbo compression of
-/// `inputs[i]` — lane width, group shape, and worker count are pure
-/// performance knobs. `cfg.chunk_bytes` is ignored: lanes are whole inputs.
-///
-/// # Errors
-/// [`ParallelError::Config`] when `cfg` fails validation or `lanes` is
-/// zero; [`ParallelError::ChunkFailed`] (index = input index) when a group
-/// exhausts the ladder (batch, batch retry, reference fallback).
-pub fn compress_batch(
-    inputs: &[&[u8]],
-    cfg: &ParallelConfig,
-    lanes: usize,
-) -> Result<BatchReport, ParallelError> {
-    cfg.validate()?;
-    if lanes == 0 {
-        return Err(ParallelConfigError::NoLanes.into());
-    }
-    let params = cfg.hw.as_lzss_params();
-    let window = cfg.hw.window_size.max(256);
-    let groups: Vec<&[&[u8]]> = inputs.chunks(lanes).collect();
-    let n_groups = groups.len();
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        cfg.workers
-    }
-    .clamp(1, n_groups.max(1));
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<GroupState<Vec<u8>>>>> =
-        Mutex::new((0..n_groups).map(|_| None).collect());
-    let counter_acc: Mutex<TurboCounters> = Mutex::new(TurboCounters::default());
-    let failure_acc: Mutex<FailureReport> = Mutex::new(FailureReport::default());
-
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n_groups) {
-            let (next, slots, groups, params, counter_acc, failure_acc) =
-                (&next, &slots, &groups, &params, &counter_acc, &failure_acc);
-            s.spawn(move || {
-                let mut engine = BatchEngine::new();
-                let mut counters = cfg.telemetry.then(TurboCounters::default);
-                let mut local = FailureReport::default();
-                loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    if g >= n_groups {
-                        break;
-                    }
-                    let state = match batch_group_tokens(
-                        &mut engine,
-                        groups[g],
-                        params,
-                        counters.as_mut(),
-                        &mut local,
-                        g * lanes,
-                    ) {
-                        GroupState::Done(tokens) => GroupState::Done(
-                            tokens
-                                .iter()
-                                .zip(groups[g])
-                                .map(|(t, lane)| {
-                                    zlib_compress_tokens(t, lane, BlockKind::FixedHuffman, window)
-                                })
-                                .collect(),
-                        ),
-                        GroupState::Failed(attempts) => GroupState::Failed(attempts),
-                    };
-                    slots.lock().expect("slot lock")[g] = Some(state);
-                }
-                failure_acc.lock().expect("failure lock").merge(&local);
-                if let Some(c) = counters {
-                    counter_acc.lock().expect("counter lock").merge(&c);
-                }
-            });
-        }
-    });
-
-    let failures = failure_acc.into_inner().expect("failure lock");
-    let mut streams = Vec::with_capacity(inputs.len());
-    for (g, slot) in slots.into_inner().expect("slot lock").into_iter().enumerate() {
-        match slot.expect("every group index was claimed") {
-            GroupState::Done(group_streams) => streams.extend(group_streams),
-            GroupState::Failed(attempts) => {
-                return Err(ParallelError::ChunkFailed { index: g * lanes, attempts });
-            }
-        }
-    }
-
-    Ok(BatchReport {
-        streams,
-        input_bytes: inputs.iter().map(|d| d.len() as u64).sum(),
-        lanes,
-        counters: cfg.telemetry.then(|| counter_acc.into_inner().expect("counter lock")),
-        failures,
-    })
-}
-
-/// Compress `data` into one LZFC framed stream through the multi-lane
-/// batched driver: frames are cut exactly as [`compress_frames_parallel`]
-/// cuts them, but each group of `lanes` consecutive frames interleaves
-/// through one [`lzfpga_lzss::BatchEngine`] invocation loop instead of
-/// compressing one frame at a time.
-///
-/// The output is byte-identical to the single-threaded
-/// [`lzfpga_container::FrameWriter`] (and therefore to
-/// [`compress_frames_parallel`]) for every lane width and worker count.
-///
-/// # Errors
-/// [`ParallelError::Config`] for rejected configurations or `lanes` = 0;
-/// [`ParallelError::ChunkFailed`] when a lane group exhausts the ladder.
-pub fn compress_frames_batched(
-    data: &[u8],
-    cfg: &ParallelConfig,
-    frame_cfg: &FrameConfig,
-    lanes: usize,
-) -> Result<FramedParallelReport, ParallelError> {
-    if frame_cfg.frame_bytes > lzfpga_container::MAX_FRAME_BYTES {
-        return Err(
-            ParallelConfigError::FrameTooLarge { frame_bytes: frame_cfg.frame_bytes }.into()
-        );
-    }
-    let eff = ParallelConfig { chunk_bytes: frame_cfg.frame_bytes, ..*cfg };
-    eff.validate()?;
-    if lanes == 0 {
-        return Err(ParallelConfigError::NoLanes.into());
-    }
-    let params = eff.hw.as_lzss_params();
-    let chunks: Vec<&[u8]> = data.chunks(eff.chunk_bytes).collect();
-    let n_chunks = chunks.len();
-    let groups: Vec<&[&[u8]]> = chunks.chunks(lanes).collect();
-    let n_groups = groups.len();
-    let workers = if eff.workers == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        eff.workers
-    }
-    .clamp(1, n_groups.max(1));
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<GroupState<FrameDone>>>> =
-        Mutex::new((0..n_groups).map(|_| None).collect());
-    let counter_acc: Mutex<TurboCounters> = Mutex::new(TurboCounters::default());
-    let failure_acc: Mutex<FailureReport> = Mutex::new(FailureReport::default());
-    let epoch = Instant::now();
-
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n_groups) {
-            let (next, slots, groups, params, counter_acc, failure_acc) =
-                (&next, &slots, &groups, &params, &counter_acc, &failure_acc);
-            s.spawn(move || {
-                let mut engine = BatchEngine::new();
-                let mut counters = eff.telemetry.then(TurboCounters::default);
-                let mut local = FailureReport::default();
-                loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    if g >= n_groups {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let start_us = epoch.elapsed().as_secs_f64() * 1e6;
-                    let frame_base = g * lanes;
-                    let state = match batch_group_tokens(
-                        &mut engine,
-                        groups[g],
-                        params,
-                        counters.as_mut(),
-                        &mut local,
-                        frame_base,
-                    ) {
-                        GroupState::Done(tokens) => GroupState::Done(
-                            tokens
-                                .iter()
-                                .zip(groups[g])
-                                .enumerate()
-                                .map(|(j, (buf, lane))| {
-                                    let (codec, payload) = payload_from_tokens(buf, lane, params);
-                                    let ulen = u32::try_from(lane.len())
-                                        .expect("frame_bytes validated <= MAX_FRAME_BYTES");
-                                    let seq = u32::try_from(frame_base + j)
-                                        .expect("frame count exceeds u32");
-                                    let header = encode_data_header(seq, codec, ulen, &payload);
-                                    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-                                    frame.extend_from_slice(&header);
-                                    frame.extend_from_slice(&payload);
-                                    FrameDone {
-                                        frame,
-                                        codec: codec.as_str(),
-                                        cycles: 0,
-                                        tokens: buf.len() as u64,
-                                        encode_us: t0.elapsed().as_secs_f64() * 1e6,
-                                        start_us,
-                                    }
-                                })
-                                .collect(),
-                        ),
-                        GroupState::Failed(attempts) => GroupState::Failed(attempts),
-                    };
-                    slots.lock().expect("slot lock")[g] = Some(state);
-                }
-                failure_acc.lock().expect("failure lock").merge(&local);
-                if let Some(c) = counters {
-                    counter_acc.lock().expect("counter lock").merge(&c);
-                }
-            });
-        }
-    });
-
-    let failures = failure_acc.into_inner().expect("failure lock");
-    let mut framed = Vec::new();
-    let mut entries: Vec<IndexEntry> = Vec::with_capacity(n_chunks);
-    let mut ustart = 0u64;
-    let mut reports = Vec::with_capacity(n_chunks);
-    let mut events = Vec::new();
-    for (g, slot) in slots.into_inner().expect("slot lock").into_iter().enumerate() {
-        let dones = match slot.expect("every group index was claimed") {
-            GroupState::Done(dones) => dones,
-            GroupState::Failed(attempts) => {
-                return Err(ParallelError::ChunkFailed { index: g * lanes, attempts });
-            }
-        };
-        for (j, done) in dones.into_iter().enumerate() {
-            let i = g * lanes + j;
-            entries.push(IndexEntry { header_start: framed.len() as u64, ustart });
-            ustart += chunks[i].len() as u64;
-            framed.extend_from_slice(&done.frame);
-            if frame_cfg.collect_events {
-                events.push(FrameEvent {
-                    seq: i as u32,
-                    uncompressed_bytes: chunks[i].len() as u64,
-                    payload_bytes: (done.frame.len() - HEADER_LEN) as u64,
-                    codec: done.codec,
-                    crc_us: 0.0,
-                    encode_us: done.encode_us,
-                    start_us: done.start_us,
-                    outcome: FrameOutcome::Written,
-                });
-            }
-            reports.push(ChunkReport {
-                index: i,
-                input_bytes: chunks[i].len() as u64,
-                cycles: done.cycles,
-                tokens: done.tokens,
-            });
-        }
-    }
-
-    if frame_cfg.index && n_chunks > 0 {
-        let section = encode_index_section(&entries, data.len() as u64, framed.len() as u64);
-        framed.extend_from_slice(&section);
-    }
-    let mut crc = Crc32::new();
-    crc.update(data);
-    framed.extend_from_slice(&encode_trailer(n_chunks as u32, data.len() as u64, crc.finish()));
-
-    Ok(FramedParallelReport {
-        framed,
-        frames: n_chunks as u32,
-        input_bytes: data.len() as u64,
-        chunks: reports,
-        failures,
-        events,
-        counters: cfg.telemetry.then(|| counter_acc.into_inner().expect("counter lock")),
-        trace_events: Vec::new(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1972,104 +1627,6 @@ mod tests {
             matches!(err, ContainerError::PayloadCrc { seq: 2, .. }),
             "expected frame 2 first, got {err}"
         );
-    }
-
-    #[test]
-    fn batched_streams_match_single_stream_turbo_for_any_lane_width() {
-        use lzfpga_core::pipeline::turbo_compress_to_zlib;
-        let inputs: Vec<Vec<u8>> = vec![
-            generate(Corpus::Wiki, 1, 90_000),
-            generate(Corpus::X2e, 2, 40_000),
-            Vec::new(),
-            generate(Corpus::Mixed, 3, 130_000),
-            generate(Corpus::LogLines, 4, 20_000),
-        ];
-        let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-        let expect: Vec<Vec<u8>> =
-            refs.iter().map(|d| turbo_compress_to_zlib(d, &HwConfig::paper_fast())).collect();
-        for lanes in [1usize, 2, 4, 8] {
-            for workers in [1usize, 3] {
-                let rep = compress_batch(&refs, &turbo_cfg(64 * 1024, workers), lanes).unwrap();
-                assert_eq!(rep.streams, expect, "lanes={lanes} workers={workers}");
-                assert_eq!(rep.lanes, lanes);
-                assert!(rep.failures.is_clean());
-            }
-        }
-        for (stream, input) in expect.iter().zip(&inputs) {
-            assert_eq!(&zlib_decompress(stream).unwrap(), input);
-        }
-    }
-
-    #[test]
-    fn batched_telemetry_reports_dispatch_and_occupancy() {
-        let inputs: Vec<Vec<u8>> = (0..6).map(|i| generate(Corpus::Mixed, i, 50_000)).collect();
-        let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-        let cfg = ParallelConfig { telemetry: true, ..turbo_cfg(64 * 1024, 1) };
-        let rep = compress_batch(&refs, &cfg, 3).unwrap();
-        let c = rep.counters.as_ref().unwrap();
-        assert_eq!(c.covered_bytes(), rep.input_bytes);
-        assert_eq!(c.dispatches(), 2, "two groups of three lanes");
-        assert_eq!(c.lane_occupancy.max(), 3);
-        let plain = compress_batch(&refs, &turbo_cfg(64 * 1024, 1), 3).unwrap();
-        assert!(plain.counters.is_none());
-        assert_eq!(plain.streams, rep.streams, "telemetry never changes bytes");
-    }
-
-    #[test]
-    fn batched_rejects_zero_lanes_and_empty_batch_is_empty() {
-        let err = compress_batch(&[], &turbo_cfg(64 * 1024, 1), 0).unwrap_err();
-        assert!(matches!(err, ParallelError::Config(ParallelConfigError::NoLanes)));
-        let rep = compress_batch(&[], &turbo_cfg(64 * 1024, 1), 4).unwrap();
-        assert!(rep.streams.is_empty());
-        assert_eq!(rep.input_bytes, 0);
-    }
-
-    #[test]
-    fn batched_frames_match_the_frame_writer_for_any_lane_width() {
-        use lzfpga_container::FrameWriter;
-        use std::io::Write as _;
-        let data = generate(Corpus::Mixed, 31, 500_000);
-        let frame_cfg =
-            FrameConfig { frame_bytes: 64 * 1024, collect_events: false, ..FrameConfig::default() };
-        let mut w =
-            FrameWriter::new(Vec::new(), frame_cfg, HwConfig::paper_fast().as_lzss_params())
-                .unwrap();
-        w.write_all(&data).unwrap();
-        let (serial, _) = w.finish().unwrap();
-        for lanes in [1usize, 2, 4, 16] {
-            for workers in [1usize, 2] {
-                let rep = compress_frames_batched(
-                    &data,
-                    &turbo_cfg(64 * 1024, workers),
-                    &frame_cfg,
-                    lanes,
-                )
-                .unwrap();
-                assert_eq!(rep.framed, serial, "lanes={lanes} workers={workers}");
-                assert_eq!(rep.frames, 8);
-            }
-        }
-        assert_eq!(lzfpga_container::unframe(&serial).unwrap(), data);
-    }
-
-    #[test]
-    fn batched_frames_roundtrip_with_events_counters_and_empty_input() {
-        let data = generate(Corpus::JsonTelemetry, 41, 300_000);
-        let frame_cfg =
-            FrameConfig { frame_bytes: 32 * 1024, collect_events: true, ..FrameConfig::default() };
-        let cfg = ParallelConfig { telemetry: true, ..turbo_cfg(32 * 1024, 2) };
-        let rep = compress_frames_batched(&data, &cfg, &frame_cfg, 4).unwrap();
-        assert_eq!(rep.events.len(), rep.frames as usize);
-        assert_eq!(decompress_frames_parallel(&rep.framed, 2).unwrap(), data);
-        let c = rep.counters.as_ref().unwrap();
-        assert_eq!(c.covered_bytes(), data.len() as u64);
-        assert!(c.lane_occupancy.max() >= 1);
-        assert_eq!(c.dispatches(), rep.frames.div_ceil(4) as u64);
-
-        let empty = compress_frames_batched(b"", &turbo_cfg(32 * 1024, 2), &frame_cfg, 4).unwrap();
-        assert_eq!(empty.frames, 0);
-        assert_eq!(empty.framed.len(), HEADER_LEN);
-        assert_eq!(decompress_frames_parallel(&empty.framed, 1).unwrap(), b"");
     }
 
     #[test]

@@ -81,13 +81,6 @@ pub trait MatchProbe {
     fn kernel_select(&mut self, isa: &'static str) {
         let _ = isa;
     }
-
-    /// One round-robin turn of the multi-lane batch driver completed with
-    /// `lanes` streams still live — the batched-lane occupancy signal.
-    #[inline]
-    fn lanes_active(&mut self, lanes: u32) {
-        let _ = lanes;
-    }
 }
 
 /// The disabled probe: every observation point is a no-op.
@@ -125,8 +118,6 @@ pub struct TurboCounters {
     pub dispatch_avx2: u64,
     /// Engine runs dispatched to the NEON (16-byte) match kernel.
     pub dispatch_neon: u64,
-    /// Distribution of live lanes per batch round (multi-lane driver only).
-    pub lane_occupancy: Histogram,
 }
 
 impl MatchProbe for TurboCounters {
@@ -178,11 +169,6 @@ impl MatchProbe for TurboCounters {
             _ => self.dispatch_scalar += 1,
         }
     }
-
-    #[inline]
-    fn lanes_active(&mut self, lanes: u32) {
-        self.lane_occupancy.record(u64::from(lanes));
-    }
 }
 
 impl TurboCounters {
@@ -227,12 +213,6 @@ impl TurboCounters {
         self.dispatch_sse2 += other.dispatch_sse2;
         self.dispatch_avx2 += other.dispatch_avx2;
         self.dispatch_neon += other.dispatch_neon;
-        self.lane_occupancy.merge(&other.lane_occupancy);
-    }
-
-    /// Total engine runs that reported a kernel dispatch.
-    pub fn dispatches(&self) -> u64 {
-        self.dispatch_scalar + self.dispatch_sse2 + self.dispatch_avx2 + self.dispatch_neon
     }
 
     /// JSON form for the `telemetry.turbo` report section.
@@ -259,7 +239,6 @@ impl TurboCounters {
                     ("neon", self.dispatch_neon.into()),
                 ]),
             ),
-            ("lane_occupancy", self.lane_occupancy.to_json()),
         ])
     }
 }
@@ -312,31 +291,23 @@ mod tests {
     }
 
     #[test]
-    fn kernel_dispatch_and_lane_occupancy_accumulate() {
+    fn kernel_dispatch_accumulates() {
         let mut c = TurboCounters::default();
         c.kernel_select("avx2");
         c.kernel_select("avx2");
         c.kernel_select("scalar");
         c.kernel_select("mystery-isa");
-        c.lanes_active(4);
-        c.lanes_active(2);
         assert_eq!(c.dispatch_avx2, 2);
         assert_eq!(c.dispatch_scalar, 2, "unknown ISAs count as scalar");
-        assert_eq!(c.dispatches(), 4);
-        assert_eq!(c.lane_occupancy.count(), 2);
-        assert_eq!(c.lane_occupancy.sum(), 6);
 
         let mut other = TurboCounters::default();
         other.kernel_select("sse2");
-        other.lanes_active(3);
         c.merge(&other);
-        assert_eq!(c.dispatches(), 5);
-        assert_eq!(c.lane_occupancy.sum(), 9);
+        assert_eq!(c.dispatch_sse2, 1);
 
         let parsed = crate::json::parse(&c.to_json().render()).unwrap();
         let dispatch = parsed.get("dispatch").unwrap();
         assert_eq!(dispatch.get("avx2").unwrap().as_i64(), Some(2));
         assert_eq!(dispatch.get("sse2").unwrap().as_i64(), Some(1));
-        assert_eq!(parsed.get("lane_occupancy").unwrap().get("count").unwrap().as_i64(), Some(3));
     }
 }
