@@ -29,8 +29,7 @@
 use crate::config::CLOCK_HZ;
 use crate::stats::{HwState, StateStats};
 use lzfpga_deflate::bitio::BitReader;
-use lzfpga_deflate::fixed::{distance_base, length_base, END_OF_BLOCK};
-use lzfpga_deflate::fixed::{fixed_dist_lengths, fixed_litlen_lengths};
+use lzfpga_deflate::fixed::{distance_base, fixed_decoders, length_base, END_OF_BLOCK};
 use lzfpga_deflate::huffman::{DecodeError, Decoder as HuffDecoder};
 use lzfpga_deflate::token::Token;
 use lzfpga_faults::{Failpoints, NoFaults};
@@ -193,8 +192,8 @@ impl DecompReport {
 /// The cycle-accurate decompressor model.
 pub struct HwDecompressor {
     cfg: DecompConfig,
-    litlen: HuffDecoder,
-    dist: HuffDecoder,
+    litlen: &'static HuffDecoder,
+    dist: &'static HuffDecoder,
 }
 
 impl HwDecompressor {
@@ -214,13 +213,8 @@ impl HwDecompressor {
     /// typed error.
     pub fn try_new(cfg: DecompConfig) -> Result<Self, DecompConfigError> {
         cfg.validate()?;
-        Ok(Self {
-            cfg,
-            litlen: HuffDecoder::from_lengths(&fixed_litlen_lengths())
-                .expect("fixed litlen table is canonical"),
-            dist: HuffDecoder::from_lengths(&fixed_dist_lengths())
-                .expect("fixed dist table is canonical"),
-        })
+        let (litlen, dist) = fixed_decoders();
+        Ok(Self { cfg, litlen, dist })
     }
 
     /// The configuration in use.

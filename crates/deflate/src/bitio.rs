@@ -96,8 +96,26 @@ impl<'a> BitReader<'a> {
         Self { data, pos: 0, bitbuf: 0, bitcount: 0 }
     }
 
+    /// Top up the bit buffer to at least 57 bits, or to all that remains.
+    ///
+    /// With 8 or more bytes left this is one unaligned little-endian word
+    /// load; only the last 7 bytes of the input go byte by byte. Bits above
+    /// `bitcount` stay zero, so `remaining_bits()` remains exact.
     #[inline]
     fn refill(&mut self) {
+        if self.bitcount > 56 {
+            return;
+        }
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+            // Whole free bytes in the buffer: 1..=8 since bitcount <= 56.
+            let take = (64 - self.bitcount) / 8;
+            let word = if take == 8 { word } else { word & ((1u64 << (take * 8)) - 1) };
+            self.bitbuf |= word << self.bitcount;
+            self.pos += take as usize;
+            self.bitcount += take * 8;
+            return;
+        }
         while self.bitcount <= 56 && self.pos < self.data.len() {
             self.bitbuf |= u64::from(self.data[self.pos]) << self.bitcount;
             self.pos += 1;
@@ -105,22 +123,37 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Read `n` bits (0..=57), LSB-first.
+    /// The next `n` bits (0..=57) without consuming them, or `None` when
+    /// fewer than `n` remain (nothing is consumed either way).
     #[inline]
-    pub fn read_bits(&mut self, n: u32) -> Result<u64, OutOfBits> {
+    pub fn peek_bits(&mut self, n: u32) -> Option<u64> {
         debug_assert!(n <= 57);
-        if n == 0 {
-            return Ok(0);
-        }
         if self.bitcount < n {
             self.refill();
             if self.bitcount < n {
-                return Err(OutOfBits);
+                return None;
             }
         }
-        let v = self.bitbuf & ((1u64 << n) - 1);
+        Some(self.bitbuf & ((1u64 << n) - 1))
+    }
+
+    /// Drop `n` bits that a preceding [`Self::peek_bits`] showed to be
+    /// buffered.
+    #[inline]
+    pub fn consume(&mut self, n: u32) {
+        debug_assert!(n <= self.bitcount, "consume past buffered bits");
         self.bitbuf >>= n;
         self.bitcount -= n;
+    }
+
+    /// Read `n` bits (0..=57), LSB-first.
+    #[inline]
+    pub fn read_bits(&mut self, n: u32) -> Result<u64, OutOfBits> {
+        if n == 0 {
+            return Ok(0);
+        }
+        let v = self.peek_bits(n).ok_or(OutOfBits)?;
+        self.consume(n);
         Ok(v)
     }
 
@@ -142,6 +175,29 @@ impl<'a> BitReader<'a> {
     pub fn read_aligned_byte(&mut self) -> Result<u8, OutOfBits> {
         debug_assert_eq!(self.bitcount % 8, 0, "reader not byte-aligned");
         Ok(self.read_bits(8)? as u8)
+    }
+
+    /// Append the next `n` whole bytes to `out`; the reader must be
+    /// byte-aligned. Buffered bytes are drained first, the rest is copied
+    /// straight from the input as one slice. Fails without consuming or
+    /// appending anything when fewer than `n` bytes remain.
+    pub(crate) fn read_aligned_bytes(
+        &mut self,
+        n: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), OutOfBits> {
+        debug_assert_eq!(self.bitcount % 8, 0, "reader not byte-aligned");
+        if self.remaining_bits() < n as u64 * 8 {
+            return Err(OutOfBits);
+        }
+        let buffered = ((self.bitcount / 8) as usize).min(n);
+        out.extend_from_slice(&self.bitbuf.to_le_bytes()[..buffered]);
+        self.bitbuf = self.bitbuf.checked_shr(buffered as u32 * 8).unwrap_or(0);
+        self.bitcount -= buffered as u32 * 8;
+        let rest = n - buffered;
+        out.extend_from_slice(&self.data[self.pos..self.pos + rest]);
+        self.pos += rest;
+        Ok(())
     }
 
     /// Number of the *unread* whole bytes remaining, counting buffered bits.
@@ -231,6 +287,95 @@ mod tests {
         assert_eq!(w.bit_len(), 3);
         w.write_bits(0x7F, 7);
         assert_eq!(w.bit_len(), 10);
+    }
+
+    /// `n` bits of `data` from bit `pos`, LSB-first, one bit at a time.
+    fn bits_at(data: &[u8], pos: usize, n: u32) -> u64 {
+        (0..n as usize).map(|i| u64::from(data[(pos + i) / 8] >> ((pos + i) % 8) & 1) << i).sum()
+    }
+
+    fn sample(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(151) ^ 0x5A).collect()
+    }
+
+    #[test]
+    fn refill_with_57_to_64_buffered_bits_is_a_no_op() {
+        let data = sample(40);
+        for used in 0..=7 {
+            let mut r = BitReader::new(&data);
+            r.refill();
+            assert_eq!(r.bitcount, 64, "one word load fills the buffer");
+            r.consume(used);
+            r.refill(); // bitcount 57..=64: nothing fits, and no `<< 64`
+            assert_eq!(r.bitcount, 64 - used);
+            let mut pos = used as usize;
+            while pos < data.len() * 8 {
+                let n = 57.min((data.len() * 8 - pos) as u32);
+                assert_eq!(r.read_bits(n), Ok(bits_at(&data, pos, n)));
+                pos += n as usize;
+            }
+            assert_eq!(r.remaining_bits(), 0);
+        }
+    }
+
+    #[test]
+    fn word_refills_and_short_tails_read_exact_bits() {
+        // Lengths 0..=23 leave tails of 0..=7 bytes after the word loads.
+        for len in 0..=23 {
+            let data = sample(len);
+            let total = len * 8;
+            for width in 1..=57u32 {
+                let mut r = BitReader::new(&data);
+                let mut pos = 0;
+                while pos < total {
+                    let n = width.min((total - pos) as u32);
+                    assert_eq!(r.read_bits(n), Ok(bits_at(&data, pos, n)), "len {len} w {width}");
+                    pos += n as usize;
+                    assert_eq!(r.remaining_bits(), (total - pos) as u64, "exact after refills");
+                }
+                assert_eq!(r.read_bits(1), Err(OutOfBits));
+            }
+        }
+    }
+
+    #[test]
+    fn peek_past_the_end_returns_none_without_consuming() {
+        for len in 0..=12 {
+            let data = sample(len);
+            for skip in 0..=len * 8 {
+                let mut r = BitReader::new(&data);
+                let (first, second) = (skip.min(57) as u32, skip.saturating_sub(57) as u32);
+                r.read_bits(first).unwrap();
+                r.read_bits(second).unwrap();
+                let left = r.remaining_bits();
+                for n in left as u32 + 1..=57 {
+                    assert_eq!(r.peek_bits(n), None);
+                    assert_eq!(r.remaining_bits(), left, "a failed peek consumes nothing");
+                }
+                if left <= 57 {
+                    assert_eq!(r.peek_bits(left as u32), Some(bits_at(&data, skip, left as u32)));
+                    assert_eq!(r.remaining_bits(), left, "a peek consumes nothing");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn aligned_bytes_drain_the_buffer_then_copy_the_input() {
+        let data = sample(30);
+        for skip in 0..=3usize {
+            for n in 0..=30 - skip {
+                let mut r = BitReader::new(&data);
+                r.read_bits(skip as u32 * 8).unwrap(); // word refill buffers the next bytes
+                let mut out = vec![0xEE];
+                r.read_aligned_bytes(n, &mut out).unwrap();
+                assert_eq!(out[1..], data[skip..skip + n]);
+                assert_eq!(r.remaining_bits(), (data.len() - skip - n) as u64 * 8);
+                let rest = r.remaining_bits();
+                assert_eq!(r.read_aligned_bytes(rest as usize / 8 + 1, &mut out), Err(OutOfBits));
+                assert_eq!(r.remaining_bits(), rest, "a short read consumes nothing");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,13 @@
 /// Reflected polynomial for CRC-32/ISO-HDLC as used by gzip, zip and PNG.
 const POLY: u32 = 0xEDB8_8320;
 
-fn make_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `TABLES[0]` is the classic bytewise table, and
+/// `TABLES[k][i]` is the CRC of byte `i` followed by `k` zero bytes, so eight
+/// input bytes fold into the state with eight independent lookups.
+static TABLES: [[u32; 256]; 8] = make_tables();
+
+const fn make_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -13,16 +18,25 @@ fn make_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Streaming CRC-32 state.
 #[derive(Debug, Clone)]
 pub struct Crc32 {
-    table: [u32; 256],
     state: u32,
 }
 
@@ -35,14 +49,28 @@ impl Default for Crc32 {
 impl Crc32 {
     /// Fresh CRC state.
     pub fn new() -> Self {
-        Self { table: make_table(), state: 0xFFFF_FFFF }
+        Self { state: 0xFFFF_FFFF }
     }
 
-    /// Absorb bytes.
+    /// Absorb bytes: eight at a time, then the tail bytewise.
     pub fn update(&mut self, data: &[u8]) {
+        let t = &TABLES;
         let mut crc = self.state;
-        for &b in data {
-            crc = (crc >> 8) ^ self.table[((crc ^ u32::from(b)) & 0xFF) as usize];
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
         }
         self.state = crc;
     }
@@ -71,6 +99,42 @@ mod tests {
         assert_eq!(crc32(b"abc"), 0x3524_41C2);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    /// Bit-serial CRC, one byte at a time: the definition, no tables.
+    fn reference(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn slice_by_8_matches_reference_at_every_length_and_offset() {
+        let buf: Vec<u8> =
+            (0..80u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), reference(data), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_split_at_every_position_matches_one_shot() {
+        let data: Vec<u8> = (0..1024u32).map(|i| (i * 37 % 253) as u8).collect();
+        let whole = reference(&data);
+        for split in 0..=data.len() {
+            let mut c = Crc32::new();
+            c.update(&data[..split]);
+            c.update(&data[split..]);
+            assert_eq!(c.finish(), whole, "split at {split}");
+        }
     }
 
     #[test]

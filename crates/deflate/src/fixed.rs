@@ -5,6 +5,10 @@
 //! encoder does not introduce any delays" (§IV). The same mappings drive the
 //! dynamic encoder's symbol statistics.
 
+use std::sync::OnceLock;
+
+use crate::huffman::Decoder;
+
 /// Number of literal/length symbols (0–285 used, 286–287 reserved but coded).
 pub const NUM_LITLEN: usize = 288;
 /// Number of distance symbols (0–29 used, 30–31 reserved).
@@ -35,6 +39,19 @@ pub fn fixed_litlen_lengths() -> [u8; NUM_LITLEN] {
 /// Fixed distance code lengths: 5 bits for all 32 symbols.
 pub fn fixed_dist_lengths() -> [u8; NUM_DIST] {
     [5u8; NUM_DIST]
+}
+
+/// The fixed literal/length and distance decoders, built once per process
+/// and shared by every fixed block and the hardware decompressor model.
+pub fn fixed_decoders() -> (&'static Decoder, &'static Decoder) {
+    static DECODERS: OnceLock<(Decoder, Decoder)> = OnceLock::new();
+    let (lit, dist) = DECODERS.get_or_init(|| {
+        (
+            Decoder::from_lengths(&fixed_litlen_lengths()).expect("fixed litlen table is valid"),
+            Decoder::from_lengths(&fixed_dist_lengths()).expect("fixed dist table is valid"),
+        )
+    });
+    (lit, dist)
 }
 
 /// `(base_length, extra_bits)` for length codes 257..=285, index 0 = code 257.

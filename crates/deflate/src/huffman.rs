@@ -6,8 +6,9 @@
 //! * [`canonical_codes`] — lengths → codes (the RFC algorithm verbatim),
 //! * [`Codebook`] — an encoder-side table with pre-reversed codes (Deflate
 //!   emits Huffman codes MSB-first into an LSB-first bit stream),
-//! * [`Decoder`] — a decoder built from the same lengths, using the
-//!   counts/offsets canonical decode (the approach of Mark Adler's `puff`),
+//! * [`Decoder`] — a decoder built from the same lengths: one lookup in a
+//!   9-bit table for codes of up to 9 bits, and the counts/offsets
+//!   canonical walk (the approach of Mark Adler's `puff`) for the rest,
 //! * [`build_lengths`] — frequency histogram → length-limited code lengths
 //!   (for the dynamic-Huffman encoder).
 
@@ -117,6 +118,11 @@ impl Codebook {
     }
 }
 
+/// Width of the [`Decoder`] lookup table. Nine bits hold every fixed-table
+/// code (literal/length codes are 7–9 bits, distance codes 5), so fixed
+/// blocks never leave the table; dynamic codes of 10–15 bits take the walk.
+pub(crate) const TABLE_BITS: u32 = 9;
+
 /// Decoder-side canonical Huffman table.
 #[derive(Debug, Clone)]
 pub struct Decoder {
@@ -124,6 +130,10 @@ pub struct Decoder {
     count: [u16; MAX_BITS + 1],
     /// Symbols sorted by (length, symbol).
     symbols: Vec<u16>,
+    /// Indexed by the next [`TABLE_BITS`] stream bits: `sym << 4 | len` for
+    /// the code of length `len <= TABLE_BITS` those bits start with, 0 when
+    /// they start with no such code (a longer code, or a gap).
+    table: [u16; 1 << TABLE_BITS],
 }
 
 /// Errors from canonical decoding.
@@ -177,11 +187,52 @@ impl Decoder {
                 offs[len as usize] += 1;
             }
         }
-        Some(Self { count, symbols })
+        // Each short code goes in bit-reversed (stream order) at every index
+        // it prefixes. The lengths passed the checks above, so
+        // `canonical_codes` cannot panic. Symbols past 12 bits do not pack;
+        // no Deflate alphabet has them.
+        let mut table = [0u16; 1 << TABLE_BITS];
+        for (sym, (&len, &code)) in lengths.iter().zip(&canonical_codes(lengths)).enumerate() {
+            if len == 0 || u32::from(len) > TABLE_BITS || sym >= 1 << 12 {
+                continue;
+            }
+            let entry = (sym as u16) << 4 | u16::from(len);
+            let mut i = usize::from(reverse_bits(code, len));
+            while i < table.len() {
+                table[i] = entry;
+                i += 1 << len;
+            }
+        }
+        Some(Self { count, symbols, table })
+    }
+
+    /// The table entry for the next stream bits `bits` (only the low
+    /// [`TABLE_BITS`] are looked at): `sym << 4 | len`, or 0 for a miss.
+    #[inline]
+    pub(crate) fn probe(&self, bits: u64) -> u16 {
+        self.table[(bits & ((1 << TABLE_BITS) - 1)) as usize]
     }
 
     /// Decode one symbol, reading bits MSB-of-code-first.
+    ///
+    /// One table probe when 9 bits are available and start with a code of
+    /// at most 9 bits; otherwise the canonical walk, which also decides every
+    /// error. A probe hit is exactly what the walk would return, since a
+    /// prefix-free code has one code starting those bits.
+    #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, DecodeError> {
+        if let Some(bits) = r.peek_bits(TABLE_BITS) {
+            let entry = self.probe(bits);
+            if entry != 0 {
+                r.consume(u32::from(entry & 0xF));
+                return Ok(entry >> 4);
+            }
+        }
+        self.walk(r)
+    }
+
+    /// The bit-by-bit canonical walk: the slow path of [`Self::decode`].
+    fn walk(&self, r: &mut BitReader<'_>) -> Result<u16, DecodeError> {
         let mut code: u32 = 0;
         let mut first: u32 = 0;
         let mut index: u32 = 0;
@@ -346,6 +397,23 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         for &s in &symbols {
             assert_eq!(dec.decode(&mut r).unwrap(), s as u16);
+        }
+    }
+
+    #[test]
+    fn table_serves_every_fixed_code_as_the_walk_does() {
+        // Every fixed code is at most 9 bits, so each of the 512 windows
+        // must hit, with the symbol and length the walk decodes from it.
+        let (lit, dist) = crate::fixed::fixed_decoders();
+        for dec in [lit, dist] {
+            for window in 0..1u16 << TABLE_BITS {
+                let entry = dec.probe(u64::from(window));
+                assert_ne!(entry, 0, "window {window:#011b} missed");
+                let bytes = window.to_le_bytes();
+                let mut r = BitReader::new(&bytes);
+                assert_eq!(dec.walk(&mut r), Ok(entry >> 4));
+                assert_eq!(16 - r.remaining_bits(), u64::from(entry & 0xF));
+            }
         }
     }
 

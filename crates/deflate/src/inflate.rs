@@ -6,10 +6,8 @@
 //! workspace must inflate back to the original bytes.
 
 use crate::bitio::{BitReader, OutOfBits};
-use crate::fixed::{
-    distance_base, fixed_dist_lengths, fixed_litlen_lengths, length_base, END_OF_BLOCK,
-};
-use crate::huffman::{DecodeError, Decoder};
+use crate::fixed::{distance_base, fixed_decoders, length_base, END_OF_BLOCK, MAX_MATCH};
+use crate::huffman::{DecodeError, Decoder, TABLE_BITS};
 
 /// Errors produced while decoding a Deflate stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,11 +183,8 @@ fn inflate_one_block_capped(
     match btype {
         0b00 => inflate_stored(r, out, cap)?,
         0b01 => {
-            let lit = Decoder::from_lengths(&fixed_litlen_lengths())
-                .expect("fixed litlen table is valid");
-            let dist =
-                Decoder::from_lengths(&fixed_dist_lengths()).expect("fixed dist table is valid");
-            inflate_compressed(r, out, &lit, &dist, cap)?;
+            let (lit, dist) = fixed_decoders();
+            inflate_compressed(r, out, lit, dist, cap)?;
         }
         0b10 => {
             let (lit, dist) = read_dynamic_tables(r)?;
@@ -231,13 +226,12 @@ impl InflateStream {
 
     fn pump(&mut self) -> Result<(), InflateError> {
         while !self.finished {
-            let mut r = BitReader::new(&self.input);
-            let mut skip = self.bit_pos;
-            while skip > 0 {
-                let n = skip.min(32) as u32;
-                r.read_bits(n).expect("resume point is inside fed data");
-                skip -= u64::from(n);
-            }
+            // Resume at the block boundary: start at its byte, skip the bits
+            // before it in that byte. Each attempt costs O(block), not
+            // O(stream).
+            let start = (self.bit_pos / 8) as usize;
+            let mut r = BitReader::new(&self.input[start..]);
+            r.read_bits((self.bit_pos % 8) as u32).expect("resume point is inside fed data");
             let checkpoint = self.out.len();
             match inflate_one_block(&mut r, &mut self.out) {
                 Ok(done) => {
@@ -289,10 +283,7 @@ fn inflate_stored(r: &mut BitReader<'_>, out: &mut Vec<u8>, cap: u64) -> Result<
     if out.len() as u64 + u64::from(len) > cap {
         return Err(InflateError::OutputLimitExceeded);
     }
-    out.reserve(len as usize);
-    for _ in 0..len {
-        out.push(r.read_aligned_byte()?);
-    }
+    r.read_aligned_bytes(usize::from(len), out)?;
     Ok(())
 }
 
@@ -367,6 +358,10 @@ fn inflate_compressed(
     cap: u64,
 ) -> Result<(), InflateError> {
     loop {
+        if inflate_fast(r, out, lit, dist, cap) {
+            return Ok(());
+        }
+        // One symbol the fast loop declined, with every check in place.
         let sym = lit.decode(r)?;
         match sym {
             0..=255 => {
@@ -389,15 +384,89 @@ fn inflate_compressed(
                 if out.len() as u64 + u64::from(len) > cap {
                     return Err(InflateError::OutputLimitExceeded);
                 }
-                // Byte-by-byte copy handles self-overlap (dist < len).
-                let start = out.len() - d;
-                for k in 0..len as usize {
-                    let b = out[start + k];
-                    out.push(b);
-                }
+                copy_match(out, d, len as usize);
             }
             _ => return Err(InflateError::BadSymbol),
         }
+    }
+}
+
+/// Most stream bits one symbol takes on the fast path: a table-width
+/// literal/length code, 5 length extra bits, a table-width distance code
+/// and 13 distance extra bits.
+const FAST_SYMBOL_BITS: u32 = 2 * TABLE_BITS + 5 + 13;
+
+/// The fused symbol loop: decode whole literal or match symbols from one
+/// peek of [`FAST_SYMBOL_BITS`] (a word refill tops the buffer up to 57+
+/// bits, enough for about two symbols) while that many input bits and
+/// [`MAX_MATCH`] bytes of output cap remain. A symbol is consumed only once
+/// it is complete and valid; anything else (end of input or cap in sight, a
+/// code longer than the table, a bad symbol, a distance too far) stops the
+/// loop with the reader still at that symbol, so the per-symbol loop decodes
+/// it and reports the same result it always has. Returns `true` at end of
+/// block.
+#[inline]
+fn inflate_fast(
+    r: &mut BitReader<'_>,
+    out: &mut Vec<u8>,
+    lit: &Decoder,
+    dist: &Decoder,
+    cap: u64,
+) -> bool {
+    while out.len() as u64 + u64::from(MAX_MATCH) <= cap {
+        let Some(bits) = r.peek_bits(FAST_SYMBOL_BITS) else { break };
+        let entry = lit.probe(bits);
+        if entry == 0 {
+            break;
+        }
+        let sym = entry >> 4;
+        let mut used = u32::from(entry & 0xF);
+        if sym < 256 {
+            r.consume(used);
+            out.push(sym as u8);
+            continue;
+        }
+        if sym == 256 {
+            r.consume(used);
+            return true;
+        }
+        let Some((base, extra)) = length_base(sym) else { break };
+        let len = base + low_bits(bits >> used, extra);
+        used += extra;
+        let dentry = dist.probe(bits >> used);
+        if dentry == 0 {
+            break;
+        }
+        used += u32::from(dentry & 0xF);
+        let Some((dbase, dextra)) = distance_base(dentry >> 4) else { break };
+        let d = (dbase + low_bits(bits >> used, dextra)) as usize;
+        used += dextra;
+        if d > out.len() {
+            break;
+        }
+        r.consume(used);
+        copy_match(out, d, len as usize);
+    }
+    false
+}
+
+#[inline]
+fn low_bits(bits: u64, n: u32) -> u32 {
+    (bits & ((1u64 << n) - 1)) as u32
+}
+
+/// Append the `len`-byte match at distance `d` (`1 <= d <= out.len()`).
+/// Each pass copies the whole span written so far from the match source,
+/// which keeps a multiple of the period `d` and so handles self-overlap
+/// (`d < len`) by doubling; a non-overlapping match is one pass.
+#[inline]
+fn copy_match(out: &mut Vec<u8>, d: usize, len: usize) {
+    let start = out.len() - d;
+    let mut left = len;
+    while left > 0 {
+        let n = left.min(out.len() - start);
+        out.extend_from_within(start..start + n);
+        left -= n;
     }
 }
 
@@ -440,6 +509,7 @@ mod tests {
     fn distance_too_far_rejected() {
         // Fixed block: match(len 3, dist 1) as the very first symbol.
         use crate::bitio::BitWriter;
+        use crate::fixed::{fixed_dist_lengths, fixed_litlen_lengths};
         use crate::huffman::Codebook;
         let lit = Codebook::from_lengths(&fixed_litlen_lengths());
         let dist = Codebook::from_lengths(&fixed_dist_lengths());
@@ -526,6 +596,30 @@ mod limit_tests {
             Err(InflateError::BlockLimitExceeded)
         );
         assert_eq!(inflate_limited(&stream, &Limits::none().with_max_blocks(5)).unwrap(), b"abcde");
+    }
+
+    #[test]
+    fn stored_block_after_fixed_block_copies_buffered_payload() {
+        // The fixed block's word refill has already buffered the start of
+        // the stored block's header and payload when the stored block starts.
+        for len in [0usize, 1, 3, 7, 8, 9, 20, 1000] {
+            let payload: Vec<u8> = (0..len as u32).map(|i| (i * 7 + 1) as u8).collect();
+            let lits = |b: &[u8]| b.iter().copied().map(Token::Literal).collect::<Vec<_>>();
+            let mut enc = DeflateEncoder::new();
+            enc.write_block(&lits(b"fixed"), BlockKind::FixedHuffman, false);
+            enc.write_block(&lits(&payload), BlockKind::Stored, false);
+            enc.write_block(&lits(b"tail"), BlockKind::FixedHuffman, true);
+            let stream = enc.finish();
+            let expected = [&b"fixed"[..], &payload, b"tail"].concat();
+            assert_eq!(inflate(&stream).unwrap(), expected);
+            let cap = Limits::none().with_max_output_bytes(5 + len as u64 - 1);
+            if len > 0 {
+                assert_eq!(inflate_limited(&stream, &cap), Err(InflateError::OutputLimitExceeded));
+            }
+            for cut in 0..stream.len() {
+                assert_eq!(inflate(&stream[..cut]), Err(InflateError::UnexpectedEof), "cut {cut}");
+            }
+        }
     }
 
     #[test]
@@ -616,6 +710,34 @@ mod stream_tests {
         let mut s = InflateStream::new();
         assert!(matches!(s.feed(&stream), Err(InflateError::ReservedBlockType)));
         assert!(s.take_output().is_empty(), "no partial garbage");
+    }
+
+    #[test]
+    fn block_boundaries_at_every_bit_offset_resume_byte_by_byte() {
+        // A fixed block of `a` 8-bit and `b` 9-bit literal codes is
+        // 3 + 8a + 9b + 7 bits long, so varying `b` walks the block
+        // boundaries through every bit offset.
+        let mut enc = DeflateEncoder::new();
+        let mut expected = Vec::new();
+        let mut offsets = [false; 8];
+        for i in 0..24usize {
+            let mut part = vec![b'a'; i / 5];
+            part.extend(std::iter::repeat_n(0xF0u8, i % 8));
+            let tokens: Vec<Token> = part.iter().copied().map(Token::Literal).collect();
+            enc.write_block(&tokens, BlockKind::FixedHuffman, i == 23);
+            offsets[(enc.bit_len() % 8) as usize] = true;
+            expected.extend(part);
+        }
+        assert!(offsets.iter().all(|&hit| hit), "boundaries at offsets {offsets:?}");
+        let stream = enc.finish();
+        let mut s = InflateStream::new();
+        let mut got = Vec::new();
+        for &b in &stream {
+            s.feed(&[b]).unwrap();
+            got.extend(s.take_output());
+        }
+        assert!(s.is_finished());
+        assert_eq!(got, expected);
     }
 
     #[test]

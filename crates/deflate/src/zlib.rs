@@ -364,6 +364,24 @@ mod tests {
     }
 
     #[test]
+    fn prefix_consumption_is_exact_on_concatenated_streams() {
+        // The word refill reads past the first stream's trailer into the
+        // second; the consumed count must still end exactly at the seam.
+        let kinds = [BlockKind::Stored, BlockKind::FixedHuffman, BlockKind::DynamicHuffman];
+        for (i, len) in [0usize, 1, 5, 9, 40, 3000].into_iter().enumerate() {
+            let a: Vec<u8> = (0..len).map(|k| (k * 13 % 7) as u8 + b'a').collect();
+            let b = b"second stream".repeat(i + 1);
+            let za = zlib_compress_tokens(&literals(&a), &a, kinds[i % 3], 32_768);
+            let zb = zlib_compress_tokens(&literals(&b), &b, kinds[(i + 1) % 3], 32_768);
+            let joined = [za.as_slice(), &zb].concat();
+            let (out, used) = zlib_decompress_prefix(&joined, &Limits::none()).unwrap();
+            assert_eq!((out, used), (a, za.len()));
+            let (out, used) = zlib_decompress_prefix(&joined[used..], &Limits::none()).unwrap();
+            assert_eq!((out, used), (b, zb.len()));
+        }
+    }
+
+    #[test]
     fn preset_dict_rejected() {
         // Header with FDICT set and valid check bits.
         let cmf = 0x78u8;
