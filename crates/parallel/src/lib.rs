@@ -16,12 +16,18 @@
 //!   kind** — parallelism is an implementation detail, never a format
 //!   change.
 //!
-//! Host-side parallelism uses `std::thread::scope` with a shared atomic
-//! work queue (no work stealing needed — chunks are uniform). The stitcher
-//! runs on the calling thread and consumes chunk results *in order as they
-//! land*, so the Deflate bit-packing of chunk `i` overlaps the matching of
-//! chunks `i+1..` — a two-stage software pipeline mirroring the paper's
-//! matcher→Huffman FIFO decoupling.
+//! **One ordered fan-out.** All four drivers — [`compress_parallel`],
+//! [`compress_frames_parallel`], [`decompress_frames_parallel`] and
+//! [`decode_range_parallel`] — run on one private helper: scoped worker
+//! threads pull item indices from a shared atomic counter (no work
+//! stealing needed — chunks are uniform), and the calling thread consumes
+//! the results *in index order as they land*. Compression therefore
+//! overlaps the Deflate bit-packing (or frame stitching) of chunk `i` with
+//! the matching of chunks `i+1..` — a two-stage software pipeline mirroring
+//! the paper's matcher→Huffman FIFO decoupling — and the decoders append
+//! each frame as soon as it and its predecessors are done, holding no
+//! more decoded frames than the workers are ahead. Each worker owns its
+//! engine and its share of the ledgers; they merge after the join.
 //!
 //! Two front-ends produce the (identical) token streams:
 //!
@@ -42,22 +48,24 @@
 //! worker plus the stitcher). Telemetry never changes the output bytes —
 //! it only watches the clock around the existing stages.
 //!
-//! **Fault tolerance.** Every per-chunk compression attempt runs under
-//! [`std::panic::catch_unwind`], so a crashing engine (or an injected
-//! failpoint panic) never takes the job down. A failed chunk climbs a
-//! degradation ladder: retry once on the same engine, then fall back to
-//! the single-threaded reference compressor — which is token-identical to
-//! both front-ends, so the output bytes stay bit-exact even for degraded
-//! chunks. Only a chunk that fails all three attempts fails the job, with
-//! a typed [`ParallelError::ChunkFailed`]. Every recovery action lands in
-//! the job's [`FailureReport`] (`ParallelReport::failures`). Failpoints
+//! **Fault tolerance.** Every per-chunk compression attempt and every
+//! per-frame range decode attempt climbs one shared degradation ladder:
+//! three attempts, each under [`std::panic::catch_unwind`], so a crashing
+//! engine (or an injected failpoint panic) never takes the job down. On
+//! the compress side the third rung is the single-threaded reference
+//! compressor — token-identical to both front-ends, so the output bytes
+//! stay bit-exact even for degraded chunks — and only a chunk that fails
+//! all three attempts fails the job, with a typed
+//! [`ParallelError::ChunkFailed`]. Every recovery action lands in the
+//! job's [`FailureReport`] (`ParallelReport::failures`). Failpoints
 //! ([`compress_parallel_with`]) use the same zero-cost-generic pattern as
 //! the telemetry probes: production callers pay nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -74,8 +82,8 @@ use lzfpga_deflate::crc32::Crc32;
 use lzfpga_deflate::encoder::{BlockKind, DeflateEncoder};
 use lzfpga_deflate::token::Token;
 use lzfpga_deflate::zlib::zlib_header;
-use lzfpga_faults::{Failpoints, FailureReport, InjectedFault, NoFaults};
-use lzfpga_lzss::TurboEngine;
+use lzfpga_faults::{Failpoints, FailureReport, NoFaults};
+use lzfpga_lzss::{LzssParams, TurboEngine};
 use lzfpga_telemetry::{
     frame_span, span_args, stage_span, FrameEvent, FrameOutcome, PipelineTelemetry, SpanTimer,
     StitcherStats, TraceEvent, TurboCounters, WorkerStats, ROOT_SPAN,
@@ -288,30 +296,190 @@ impl ParallelReport {
     }
 }
 
-/// One finished chunk waiting for the stitcher.
-struct ChunkDone {
-    tokens: Vec<Token>,
-    cycles: u64,
-    /// Completion time in µs since the run epoch (0 when telemetry is off);
-    /// lets the stitcher measure how long the chunk sat in the queue.
-    done_us: f64,
+/// Host threads for `n` items: `workers`, or every available core when it
+/// is 0, clamped to `1..=n`.
+fn worker_count(workers: usize, n: usize) -> usize {
+    let w = if workers == 0 {
+        std::thread::available_parallelism().map_or(4, |c| c.get())
+    } else {
+        workers
+    };
+    w.clamp(1, n.max(1))
 }
 
-/// What a worker files into a chunk's slot.
-enum SlotState {
-    /// The chunk compressed (possibly after retries/degradation).
-    Done(ChunkDone),
-    /// All three ladder attempts failed.
-    Failed {
-        /// Attempts consumed on this chunk.
-        attempts: u64,
-    },
+/// The ordered fan-out every driver runs on: [`worker_count`] scoped
+/// threads each build a state with `init(worker)` and run
+/// `work(&mut state, i)` for item indices pulled from one atomic counter,
+/// while the calling thread hands each result to `consume(i, r)` in index
+/// order as soon as it and its predecessors have landed. A `false` from
+/// `consume` stops delivery (the workers drain the remaining indices
+/// unobserved). Returns the worker states, in worker order, for the
+/// ledgers, counters and trace events to merge after the join.
+///
+/// A panic escaping `init` or `work` stops the queue and wakes the
+/// consumer, and is resumed on the calling thread — never a hang.
+fn fan_out<S: Send, R: Send>(
+    n: usize,
+    workers: usize,
+    init: impl Fn(usize) -> S + Sync,
+    work: impl Fn(&mut S, usize) -> R + Sync,
+    mut consume: impl FnMut(usize, R) -> bool,
+) -> Vec<S> {
+    if n == 0 {
+        return Vec::new();
+    }
+    /// Results waiting by index, and a panic that escaped a worker.
+    struct Landed<R> {
+        results: Vec<Option<R>>,
+        panic: Option<Box<dyn Any + Send>>,
+    }
+    let next = AtomicUsize::new(0);
+    let results = (0..n).map(|_| None).collect();
+    let landed = Mutex::new(Landed { results, panic: None });
+    let ready = Condvar::new();
+    let states: Vec<Option<S>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..worker_count(workers, n))
+            .map(|w| {
+                let (next, landed, ready, init, work) = (&next, &landed, &ready, &init, &work);
+                s.spawn(move || {
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        let mut state = init(w);
+                        loop {
+                            // Relaxed: the counter only hands out indices;
+                            // results are published through the mutex.
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                return state;
+                            }
+                            let r = work(&mut state, i);
+                            landed.lock().expect("fan-out lock").results[i] = Some(r);
+                            ready.notify_all();
+                        }
+                    }));
+                    run.map_err(|panic| {
+                        next.store(n, Ordering::Relaxed);
+                        landed.lock().expect("fan-out lock").panic = Some(panic);
+                        ready.notify_all();
+                    })
+                    .ok()
+                })
+            })
+            .collect();
+        for i in 0..n {
+            let r = {
+                let mut guard = landed.lock().expect("fan-out lock");
+                loop {
+                    if guard.panic.is_some() {
+                        break None;
+                    }
+                    if let Some(r) = guard.results[i].take() {
+                        break Some(r);
+                    }
+                    guard = ready.wait(guard).expect("fan-out lock");
+                }
+            };
+            if !r.is_some_and(|r| consume(i, r)) {
+                break;
+            }
+        }
+        handles.into_iter().map(|h| h.join().expect("fan-out workers catch their panics")).collect()
+    });
+    if let Some(panic) = landed.into_inner().expect("fan-out lock").panic {
+        resume_unwind(panic);
+    }
+    states.into_iter().flatten().collect()
 }
 
-type Slot = Option<SlotState>;
+/// The degradation ladder every per-chunk and per-frame attempt climbs, and
+/// the only owner of [`FailureReport`] bookkeeping: up to three calls of
+/// `rung(attempt)`, each under [`catch_unwind`], so an injected error
+/// (`None`) or a panic costs one attempt, never the job. With `reference`,
+/// attempt 2 is the reference fallback and `index` is recorded as
+/// degraded. `failed(attempt, panicked)` observes each failed attempt.
+///
+/// # Errors
+/// The attempts consumed when every rung failed; `index` is then recorded
+/// as failed.
+fn ladder<T>(
+    report: &mut FailureReport,
+    index: usize,
+    reference: bool,
+    mut rung: impl FnMut(u32) -> Option<T>,
+    mut failed: impl FnMut(u32, bool),
+) -> Result<T, u64> {
+    for attempt in 0..3u32 {
+        report.attempts += 1;
+        match attempt {
+            1 => report.retries += 1,
+            2 if reference => {
+                report.degraded_chunks.push(index);
+                report.degraded_chunks.sort_unstable();
+            }
+            _ => {}
+        }
+        // Crossing the unwind boundary is sound: every rung clears or
+        // replaces its output on entry and the turbo engine re-zeroes its
+        // arenas per call, so a mid-attempt panic leaves no poisoned state.
+        let panicked = match catch_unwind(AssertUnwindSafe(|| rung(attempt))) {
+            Ok(Some(value)) => return Ok(value),
+            Ok(None) => {
+                report.injected_errors += 1;
+                false
+            }
+            Err(_panic) => {
+                report.worker_restarts += 1;
+                true
+            }
+        };
+        failed(attempt, panicked);
+    }
+    report.failed_chunks.push(index);
+    report.failed_chunks.sort_unstable();
+    Err(3)
+}
 
-/// What one worker hands back for the telemetry report.
-type WorkerYield = (WorkerStats, TurboCounters, Vec<TraceEvent>);
+/// The engine a compress rung runs before the reference fallback.
+enum Engine<'a> {
+    /// The cycle-accurate hardware model.
+    Modelled(&'a HwConfig),
+    /// The turbo engine; probed (no failpoints) when counters are given.
+    Turbo(&'a mut TurboEngine, Option<&'a mut TurboCounters>),
+}
+
+/// One compress ladder rung: check failpoint `site` when given, then
+/// tokenize `chunk` into `buf` on `engine` — or, at attempt 2, on the
+/// single-threaded reference compressor, token-identical to both engines.
+/// Returns the engine cycles (0 off the cycle model), `None` when a fault
+/// was injected.
+fn compress_rung<F: Failpoints>(
+    attempt: u32,
+    site: Option<&str>,
+    chunk: &[u8],
+    params: &LzssParams,
+    engine: Engine<'_>,
+    buf: &mut Vec<Token>,
+    faults: &F,
+) -> Option<u64> {
+    if site.is_some_and(|s| faults.check(s)) {
+        return None;
+    }
+    buf.clear();
+    match engine {
+        _ if attempt == 2 => *buf = lzfpga_lzss::compress(chunk, params),
+        Engine::Modelled(hw) => {
+            let rep = HwCompressor::new(*hw).compress(chunk);
+            *buf = rep.tokens;
+            return Some(rep.cycles);
+        }
+        Engine::Turbo(turbo, Some(counters)) => {
+            turbo.compress_into_probed(chunk, params, buf, counters);
+        }
+        Engine::Turbo(turbo, None) => {
+            turbo.compress_into_faulty(chunk, params, buf, faults).ok()?
+        }
+    }
+    Some(0)
+}
 
 /// Run one chunk through the panic/degradation ladder the parallel
 /// drivers use, standalone: attempt 0 on the turbo engine, attempt 1
@@ -337,49 +505,109 @@ type WorkerYield = (WorkerStats, TurboCounters, Vec<TraceEvent>);
 pub fn compress_chunk_ladder<F: Failpoints>(
     turbo: &mut TurboEngine,
     chunk: &[u8],
-    params: &lzfpga_lzss::LzssParams,
+    params: &LzssParams,
     site: &str,
     faults: &F,
     report: &mut FailureReport,
     index: usize,
 ) -> Result<Vec<Token>, u64> {
-    let mut buf: Vec<Token> = Vec::new();
-    let mut attempts = 0u64;
-    for attempt in 0..3u32 {
-        attempts += 1;
-        report.attempts += 1;
-        match attempt {
-            1 => report.retries += 1,
-            2 => {
-                report.degraded_chunks.push(index);
-                report.degraded_chunks.sort_unstable();
-            }
-            _ => {}
-        }
-        // Same unwind-isolation soundness argument as the pipeline
-        // workers: buf is cleared on entry and the turbo engine re-zeroes
-        // its arenas per call, so a mid-compress panic poisons nothing.
-        let result = catch_unwind(AssertUnwindSafe(|| -> Result<(), InjectedFault> {
-            buf.clear();
-            if attempt == 2 {
-                buf = lzfpga_lzss::compress(chunk, params);
-                return Ok(());
-            }
-            if faults.check(site) {
-                return Err(InjectedFault { site: "ladder" });
-            }
-            turbo.compress_into_faulty(chunk, params, &mut buf, faults)?;
-            Ok(())
-        }));
-        match result {
-            Ok(Ok(())) => return Ok(buf),
-            Ok(Err(_injected)) => report.injected_errors += 1,
-            Err(_panic) => report.worker_restarts += 1,
+    let mut buf = Vec::new();
+    let rung = |attempt| {
+        let (site, engine) = ((attempt < 2).then_some(site), Engine::Turbo(turbo, None));
+        compress_rung(attempt, site, chunk, params, engine, &mut buf, faults)
+    };
+    ladder(report, index, true, rung, |_, _| {})?;
+    Ok(buf)
+}
+
+/// One compress worker of the parallel drivers: its engine and its share
+/// of the job's ledgers, merged after the join.
+struct Worker {
+    turbo: TurboEngine,
+    counters: TurboCounters,
+    failures: FailureReport,
+    timer: Option<SpanTimer>,
+    stats: WorkerStats,
+    spawned_us: f64,
+}
+
+impl Worker {
+    fn new(worker: usize, epoch: Instant, telemetry: bool) -> Self {
+        let timer = telemetry.then(|| SpanTimer::new(epoch, worker as u32 + 1));
+        Self {
+            turbo: TurboEngine::new(),
+            counters: TurboCounters::default(),
+            failures: FailureReport::default(),
+            spawned_us: timer.as_ref().map_or(0.0, SpanTimer::now_us),
+            timer,
+            stats: WorkerStats { worker, ..WorkerStats::default() },
         }
     }
-    report.failed_chunks.push(index);
-    report.failed_chunks.sort_unstable();
-    Err(attempts)
+
+    /// Fold the joined workers' ledgers and counters, append their trace
+    /// events to `trace` in worker order, and return their stats.
+    fn merge(
+        workers: Vec<Worker>,
+        trace: &mut Vec<TraceEvent>,
+    ) -> (FailureReport, TurboCounters, Vec<WorkerStats>) {
+        let (mut failures, mut counters) = (FailureReport::default(), TurboCounters::default());
+        let mut stats = Vec::with_capacity(workers.len());
+        for mut w in workers {
+            failures.merge(&w.failures);
+            counters.merge(&w.counters);
+            trace.extend(w.timer.as_mut().map_or_else(Vec::new, SpanTimer::drain));
+            stats.push(w.stats);
+        }
+        (failures, counters, stats)
+    }
+
+    /// Climb the compress ladder for chunk `i` into `buf` on `cfg`'s
+    /// engine, checking `site` before every rung, the reference rung
+    /// included. With `fault_spans`, each failed attempt is traced as a
+    /// `fault` span on frame `i`'s branch of the span tree.
+    #[allow(clippy::too_many_arguments)]
+    fn compress<F: Failpoints>(
+        &mut self,
+        i: usize,
+        chunk: &[u8],
+        cfg: &ParallelConfig,
+        site: &str,
+        fault_spans: bool,
+        buf: &mut Vec<Token>,
+        faults: &F,
+    ) -> Result<u64, u64> {
+        let params = cfg.hw.as_lzss_params();
+        let Worker { turbo, counters, failures, timer, .. } = self;
+        let mut attempt_start_us = timer.as_ref().map_or(0.0, SpanTimer::now_us);
+        let rung = |attempt| {
+            let engine = match cfg.engine {
+                EngineKind::Modelled => Engine::Modelled(&cfg.hw),
+                EngineKind::Turbo => Engine::Turbo(turbo, cfg.telemetry.then_some(&mut *counters)),
+            };
+            compress_rung(attempt, Some(site), chunk, &params, engine, buf, faults)
+        };
+        ladder(failures, i, true, rung, |attempt, panicked| {
+            let Some(t) = timer.as_mut().filter(|_| fault_spans) else { return };
+            let frame_id = frame_span(i as u64);
+            let kind = if panicked { "panic" } else { "fault" };
+            t.complete(
+                format!("{kind} frame {i} attempt {attempt}"),
+                "fault",
+                attempt_start_us,
+                span_args(stage_span(frame_id, 8 + attempt), frame_id),
+            );
+            attempt_start_us = t.now_us();
+        })
+    }
+}
+
+/// One finished chunk waiting for the stitcher.
+struct ChunkDone {
+    tokens: Vec<Token>,
+    cycles: u64,
+    /// Completion time in µs since the run epoch (0 when telemetry is off);
+    /// lets the stitcher measure how long the chunk sat in the queue.
+    done_us: f64,
 }
 
 /// Compress `data` chunk-parallel into one standard zlib stream.
@@ -417,236 +645,103 @@ pub fn compress_parallel_with<F: Failpoints>(
     let chunks: Vec<&[u8]> =
         if data.is_empty() { vec![&[]] } else { data.chunks(cfg.chunk_bytes).collect() };
     let n_chunks = chunks.len();
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        cfg.workers
-    }
-    .clamp(1, n_chunks);
-
-    // Workers pull chunk indices from a shared atomic counter and file the
-    // token stream into its index's slot; the stitcher (this thread) waits
-    // on the condvar for the next in-order slot and encodes it while later
-    // chunks are still being matched. Turbo workers recycle token buffers
-    // through the freelist, so steady-state chunks allocate nothing.
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Slot>> = Mutex::new((0..n_chunks).map(|_| None).collect());
-    let ready = Condvar::new();
+    // Turbo workers take token buffers back from the stitcher through the
+    // freelist, so steady-state chunks allocate nothing.
     let freelist: Mutex<Vec<Vec<Token>>> = Mutex::new(Vec::new());
-    let params = cfg.hw.as_lzss_params();
     let epoch = Instant::now();
-    let worker_yields: Mutex<Vec<WorkerYield>> = Mutex::new(Vec::new());
-    let failure_acc: Mutex<FailureReport> = Mutex::new(FailureReport::default());
 
     let mut enc = DeflateEncoder::new();
     let mut reports = Vec::with_capacity(n_chunks);
     let mut stitch_timer = cfg.telemetry.then(|| SpanTimer::new(epoch, 0));
     let mut stitcher = StitcherStats::default();
     let mut stitch_error: Option<ParallelError> = None;
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let (next, slots, ready, freelist, params, chunks, worker_yields, failure_acc) =
-                (&next, &slots, &ready, &freelist, &params, &chunks, &worker_yields, &failure_acc);
-            s.spawn(move || {
-                let mut turbo = TurboEngine::new();
-                let mut counters = TurboCounters::default();
-                let mut stats = WorkerStats { worker: w, ..WorkerStats::default() };
-                let mut timer = cfg.telemetry.then(|| SpanTimer::new(epoch, w as u32 + 1));
-                let spawned_us = timer.as_ref().map_or(0.0, SpanTimer::now_us);
-                let mut local = FailureReport::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_chunks {
-                        break;
-                    }
-                    let start_us = timer.as_ref().map_or(0.0, SpanTimer::now_us);
-                    let popped = if cfg.engine == EngineKind::Turbo {
-                        let popped = freelist.lock().expect("freelist lock").pop();
-                        if popped.is_some() {
-                            stats.freelist_hits += 1;
-                        } else {
-                            stats.freelist_misses += 1;
-                        }
-                        popped
-                    } else {
-                        None
-                    };
-                    let mut buf = popped.unwrap_or_default();
-
-                    // Degradation ladder: attempt 0 on the configured
-                    // engine, attempt 1 retries it, attempt 2 falls back
-                    // to the reference compressor (token-identical, so
-                    // the output bytes do not change; cycle counts for a
-                    // degraded Modelled chunk read 0).
-                    let mut outcome: Option<u64> = None;
-                    let mut chunk_attempts = 0u64;
-                    for attempt in 0..3u32 {
-                        chunk_attempts += 1;
-                        local.attempts += 1;
-                        match attempt {
-                            1 => local.retries += 1,
-                            2 => local.degraded_chunks.push(i),
-                            _ => {}
-                        }
-                        // The buffer and engine cross the unwind boundary,
-                        // which is sound here: `buf` is cleared on entry and
-                        // the turbo engine re-zeroes its arenas per call, so
-                        // a mid-compress panic leaves no poisoned state.
-                        let result =
-                            catch_unwind(AssertUnwindSafe(|| -> Result<u64, InjectedFault> {
-                                if faults.check("parallel.worker.chunk") {
-                                    return Err(InjectedFault { site: "parallel.worker.chunk" });
-                                }
-                                buf.clear();
-                                if attempt == 2 {
-                                    buf = lzfpga_lzss::compress(chunks[i], params);
-                                    return Ok(0);
-                                }
-                                match cfg.engine {
-                                    EngineKind::Modelled => {
-                                        let rep = HwCompressor::new(cfg.hw).compress(chunks[i]);
-                                        buf = rep.tokens;
-                                        Ok(rep.cycles)
-                                    }
-                                    EngineKind::Turbo => {
-                                        if cfg.telemetry {
-                                            turbo.compress_into_probed(
-                                                chunks[i],
-                                                params,
-                                                &mut buf,
-                                                &mut counters,
-                                            );
-                                        } else {
-                                            turbo.compress_into_faulty(
-                                                chunks[i], params, &mut buf, faults,
-                                            )?;
-                                        }
-                                        Ok(0)
-                                    }
-                                }
-                            }));
-                        match result {
-                            Ok(Ok(cycles)) => {
-                                outcome = Some(cycles);
-                                break;
-                            }
-                            Ok(Err(_injected)) => local.injected_errors += 1,
-                            Err(_panic) => local.worker_restarts += 1,
-                        }
-                    }
-
-                    let Some(cycles) = outcome else {
-                        local.failed_chunks.push(i);
-                        slots.lock().expect("slot lock")[i] =
-                            Some(SlotState::Failed { attempts: chunk_attempts });
-                        ready.notify_all();
-                        continue;
-                    };
-                    let tokens = buf;
-                    let done_us = if let Some(t) = timer.as_mut() {
-                        let mut args = span_args(frame_span(i as u64), ROOT_SPAN);
-                        args.push(("bytes", chunks[i].len().into()));
-                        args.push(("tokens", tokens.len().into()));
-                        stats.busy_s +=
-                            t.complete(format!("compress chunk {i}"), "compress", start_us, args);
-                        stats.chunks += 1;
-                        stats.input_bytes += chunks[i].len() as u64;
-                        t.now_us()
-                    } else {
-                        0.0
-                    };
-                    slots.lock().expect("slot lock")[i] =
-                        Some(SlotState::Done(ChunkDone { tokens, cycles, done_us }));
-                    ready.notify_all();
-                }
-                failure_acc.lock().expect("failure lock").merge(&local);
-                if let Some(mut t) = timer {
-                    let lifetime_s = (t.now_us() - spawned_us) / 1e6;
-                    stats.idle_s = (lifetime_s - stats.busy_s).max(0.0);
-                    worker_yields.lock().expect("telemetry lock").push((
-                        stats,
-                        counters,
-                        t.drain(),
-                    ));
-                }
-            });
-        }
-
-        // Stitch: per-chunk block runs, in order, overlapping the workers.
-        for (i, chunk) in chunks.iter().enumerate() {
-            let wait_start_us = stitch_timer.as_ref().map_or(0.0, SpanTimer::now_us);
-            let state = {
-                let mut guard = slots.lock().expect("slot lock");
-                loop {
-                    if let Some(state) = guard[i].take() {
-                        break state;
-                    }
-                    guard = ready.wait(guard).expect("slot lock");
-                }
-            };
-            let done = match state {
-                SlotState::Done(done) => done,
-                SlotState::Failed { attempts } => {
-                    // Workers keep draining the remaining chunk indices so
-                    // the scope joins promptly; the job reports the first
-                    // failed chunk.
-                    stitch_error = Some(ParallelError::ChunkFailed { index: i, attempts });
-                    break;
-                }
-            };
-            if let Some(t) = stitch_timer.as_mut() {
-                let frame_id = frame_span(i as u64);
-                stitcher.stall_s += t.complete(
-                    format!("wait chunk {i}"),
-                    "stall",
-                    wait_start_us,
-                    span_args(stage_span(frame_id, 1), frame_id),
-                );
-                stitcher.queue_wait_s += ((t.now_us() - done.done_us) / 1e6).max(0.0);
-                let enc_start_us = t.now_us();
-                enc.write_block(&done.tokens, BlockKind::FixedHuffman, i + 1 == n_chunks);
-                stitcher.encode_s += t.complete(
-                    format!("encode chunk {i}"),
-                    "encode",
-                    enc_start_us,
-                    span_args(stage_span(frame_id, 0), frame_id),
-                );
+    let mut wait_start_us = stitch_timer.as_ref().map_or(0.0, SpanTimer::now_us);
+    let work = |st: &mut Worker, i: usize| -> Result<ChunkDone, u64> {
+        let start_us = st.timer.as_ref().map_or(0.0, SpanTimer::now_us);
+        let mut tokens = Vec::new();
+        if cfg.engine == EngineKind::Turbo {
+            let popped = freelist.lock().expect("freelist lock").pop();
+            if popped.is_some() {
+                st.stats.freelist_hits += 1;
             } else {
-                enc.write_block(&done.tokens, BlockKind::FixedHuffman, i + 1 == n_chunks);
+                st.stats.freelist_misses += 1;
             }
-            reports.push(ChunkReport {
-                index: i,
-                input_bytes: chunk.len() as u64,
-                cycles: done.cycles,
-                tokens: done.tokens.len() as u64,
-            });
-            if cfg.engine == EngineKind::Turbo {
-                let mut buf = done.tokens;
-                buf.clear();
-                let mut list = freelist.lock().expect("freelist lock");
-                list.push(buf);
-                stitcher.freelist_peak = stitcher.freelist_peak.max(list.len() as u64);
-            }
+            tokens = popped.unwrap_or_default();
         }
-    });
+        // Degraded Modelled chunks report 0 cycles.
+        let cycles =
+            st.compress(i, chunks[i], cfg, "parallel.worker.chunk", false, &mut tokens, faults)?;
+        let mut done_us = 0.0;
+        if let Some(t) = st.timer.as_mut() {
+            let mut args = span_args(frame_span(i as u64), ROOT_SPAN);
+            args.push(("bytes", chunks[i].len().into()));
+            args.push(("tokens", tokens.len().into()));
+            st.stats.busy_s +=
+                t.complete(format!("compress chunk {i}"), "compress", start_us, args);
+            st.stats.chunks += 1;
+            st.stats.input_bytes += chunks[i].len() as u64;
+            done_us = t.now_us();
+            st.stats.idle_s = ((done_us - st.spawned_us) / 1e6 - st.stats.busy_s).max(0.0);
+        }
+        Ok(ChunkDone { tokens, cycles, done_us })
+    };
+    // Stitch: per-chunk block runs, in order, overlapping the workers.
+    let stitch = |i: usize, done: Result<ChunkDone, u64>| {
+        let done = match done {
+            Ok(done) => done,
+            Err(attempts) => {
+                stitch_error = Some(ParallelError::ChunkFailed { index: i, attempts });
+                return false;
+            }
+        };
+        let last = i + 1 == n_chunks;
+        if let Some(t) = stitch_timer.as_mut() {
+            let frame_id = frame_span(i as u64);
+            stitcher.stall_s += t.complete(
+                format!("wait chunk {i}"),
+                "stall",
+                wait_start_us,
+                span_args(stage_span(frame_id, 1), frame_id),
+            );
+            stitcher.queue_wait_s += ((t.now_us() - done.done_us) / 1e6).max(0.0);
+            let enc_start_us = t.now_us();
+            enc.write_block(&done.tokens, BlockKind::FixedHuffman, last);
+            stitcher.encode_s += t.complete(
+                format!("encode chunk {i}"),
+                "encode",
+                enc_start_us,
+                span_args(stage_span(frame_id, 0), frame_id),
+            );
+            wait_start_us = t.now_us();
+        } else {
+            enc.write_block(&done.tokens, BlockKind::FixedHuffman, last);
+        }
+        reports.push(ChunkReport {
+            index: i,
+            input_bytes: chunks[i].len() as u64,
+            cycles: done.cycles,
+            tokens: done.tokens.len() as u64,
+        });
+        if cfg.engine == EngineKind::Turbo {
+            let mut buf = done.tokens;
+            buf.clear();
+            let mut list = freelist.lock().expect("freelist lock");
+            list.push(buf);
+            stitcher.freelist_peak = stitcher.freelist_peak.max(list.len() as u64);
+        }
+        true
+    };
+    let workers =
+        fan_out(n_chunks, cfg.workers, |w| Worker::new(w, epoch, cfg.telemetry), work, stitch);
 
-    let mut failures = failure_acc.into_inner().expect("failure lock");
+    let mut trace_events = stitch_timer.as_mut().map_or_else(Vec::new, SpanTimer::drain);
+    let (mut failures, turbo, worker_stats) = Worker::merge(workers, &mut trace_events);
     failures.injected = faults.drain_events();
     if let Some(err) = stitch_error {
         return Err(err);
     }
 
-    let telemetry = stitch_timer.map(|mut t| {
-        let mut yields = worker_yields.into_inner().expect("telemetry lock");
-        yields.sort_by_key(|(stats, _, _)| stats.worker);
-        let mut turbo = TurboCounters::default();
-        let mut trace_events = t.drain();
-        let mut worker_stats = Vec::with_capacity(yields.len());
-        for (stats, counters, events) in yields {
-            turbo.merge(&counters);
-            trace_events.extend(events);
-            worker_stats.push(stats);
-        }
+    let telemetry = stitch_timer.map(|_| {
         let wall_s = epoch.elapsed().as_secs_f64();
         // Root file span: every chunk span parents here, so the whole job
         // renders as one causal tree in chrome://tracing.
@@ -771,22 +866,8 @@ pub fn compress_frames_parallel_with<F: Failpoints>(
     // a bare trailer), matching FrameWriter exactly.
     let chunks: Vec<&[u8]> = data.chunks(eff.chunk_bytes).collect();
     let n_chunks = chunks.len();
-    let workers = if eff.workers == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        eff.workers
-    }
-    .clamp(1, n_chunks.max(1));
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<FrameDone, u64>>>> =
-        Mutex::new((0..n_chunks).map(|_| None).collect());
-    let ready = Condvar::new();
     let params = eff.hw.as_lzss_params();
     let epoch = Instant::now();
-    let failure_acc: Mutex<FailureReport> = Mutex::new(FailureReport::default());
-    let counter_acc: Mutex<TurboCounters> = Mutex::new(TurboCounters::default());
-    let trace_acc: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
 
     let mut framed = Vec::new();
     let mut entries: Vec<IndexEntry> = Vec::with_capacity(n_chunks);
@@ -795,241 +876,123 @@ pub fn compress_frames_parallel_with<F: Failpoints>(
     let mut events = Vec::new();
     let mut stitch_error: Option<ParallelError> = None;
     let mut stitch_timer = eff.telemetry.then(|| SpanTimer::new(epoch, 0));
-    std::thread::scope(|s| {
-        for w in 0..workers.min(n_chunks) {
-            let (next, slots, ready, params, chunks, failure_acc, counter_acc, trace_acc) =
-                (&next, &slots, &ready, &params, &chunks, &failure_acc, &counter_acc, &trace_acc);
-            s.spawn(move || {
-                let mut turbo = TurboEngine::new();
-                let mut counters = eff.telemetry.then(TurboCounters::default);
-                let mut timer = eff.telemetry.then(|| SpanTimer::new(epoch, w as u32 + 1));
-                let mut local = FailureReport::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_chunks {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let start_us = epoch.elapsed().as_secs_f64() * 1e6;
-                    let frame_id = frame_span(i as u64);
-                    let mut buf: Vec<Token> = Vec::new();
-                    let mut outcome: Option<u64> = None;
-                    let mut chunk_attempts = 0u64;
-                    for attempt in 0..3u32 {
-                        chunk_attempts += 1;
-                        local.attempts += 1;
-                        match attempt {
-                            1 => local.retries += 1,
-                            2 => local.degraded_chunks.push(i),
-                            _ => {}
-                        }
-                        let attempt_start_us = timer.as_ref().map_or(0.0, SpanTimer::now_us);
-                        // Same unwind-isolation soundness argument as the
-                        // zlib path: buf is cleared on entry and the turbo
-                        // engine re-zeroes its arenas per call.
-                        let result =
-                            catch_unwind(AssertUnwindSafe(|| -> Result<u64, InjectedFault> {
-                                if faults.check("parallel.frame.chunk") {
-                                    return Err(InjectedFault { site: "parallel.frame.chunk" });
-                                }
-                                buf.clear();
-                                if attempt == 2 {
-                                    buf = lzfpga_lzss::compress(chunks[i], params);
-                                    return Ok(0);
-                                }
-                                match eff.engine {
-                                    EngineKind::Modelled => {
-                                        let rep = HwCompressor::new(eff.hw).compress(chunks[i]);
-                                        buf = rep.tokens;
-                                        Ok(rep.cycles)
-                                    }
-                                    EngineKind::Turbo => {
-                                        if let Some(c) = counters.as_mut() {
-                                            turbo.compress_into_probed(
-                                                chunks[i], params, &mut buf, c,
-                                            );
-                                        } else {
-                                            turbo.compress_into_faulty(
-                                                chunks[i], params, &mut buf, faults,
-                                            )?;
-                                        }
-                                        Ok(0)
-                                    }
-                                }
-                            }));
-                        match result {
-                            Ok(Ok(cycles)) => {
-                                outcome = Some(cycles);
-                                break;
-                            }
-                            Ok(Err(_injected)) => {
-                                local.injected_errors += 1;
-                                if let Some(t) = timer.as_mut() {
-                                    // Failed attempts stay on the frame's
-                                    // branch of the span tree, so injected
-                                    // faults are visible in the causal view.
-                                    t.complete(
-                                        format!("fault frame {i} attempt {attempt}"),
-                                        "fault",
-                                        attempt_start_us,
-                                        span_args(stage_span(frame_id, 8 + attempt), frame_id),
-                                    );
-                                }
-                            }
-                            Err(_panic) => {
-                                local.worker_restarts += 1;
-                                if let Some(t) = timer.as_mut() {
-                                    t.complete(
-                                        format!("panic frame {i} attempt {attempt}"),
-                                        "fault",
-                                        attempt_start_us,
-                                        span_args(stage_span(frame_id, 8 + attempt), frame_id),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    let state = match outcome {
-                        Some(cycles) => {
-                            if let Some(t) = timer.as_mut() {
-                                t.complete(
-                                    format!("tokens frame {i}"),
-                                    "compress",
-                                    start_us,
-                                    span_args(stage_span(frame_id, 0), frame_id),
-                                );
-                            }
-                            let enc_start_us = timer.as_ref().map_or(0.0, SpanTimer::now_us);
-                            let (codec, payload) = payload_from_tokens(&buf, chunks[i], params);
-                            let payload_len = payload.len();
-                            let ulen = u32::try_from(chunks[i].len())
-                                .expect("frame_bytes validated <= MAX_FRAME_BYTES");
-                            let seq = u32::try_from(i).expect("frame count exceeds u32");
-                            let header = encode_data_header(seq, codec, ulen, &payload);
-                            let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-                            frame.extend_from_slice(&header);
-                            frame.extend_from_slice(&payload);
-                            if let Some(t) = timer.as_mut() {
-                                t.complete(
-                                    format!("encode frame {i}"),
-                                    "encode",
-                                    enc_start_us,
-                                    span_args(stage_span(frame_id, 1), frame_id),
-                                );
-                                let mut args = span_args(frame_id, ROOT_SPAN);
-                                args.push(("bytes", chunks[i].len().into()));
-                                args.push(("payload_bytes", payload_len.into()));
-                                t.complete(format!("frame {i}"), "frame", start_us, args);
-                            }
-                            Ok(FrameDone {
-                                frame,
-                                codec: codec.as_str(),
-                                cycles,
-                                tokens: buf.len() as u64,
-                                encode_us: t0.elapsed().as_secs_f64() * 1e6,
-                                start_us,
-                            })
-                        }
-                        None => {
-                            local.failed_chunks.push(i);
-                            Err(chunk_attempts)
-                        }
-                    };
-                    slots.lock().expect("slot lock")[i] = Some(state);
-                    ready.notify_all();
-                }
-                failure_acc.lock().expect("failure lock").merge(&local);
-                if let Some(c) = counters {
-                    counter_acc.lock().expect("counter lock").merge(&c);
-                }
-                if let Some(mut t) = timer {
-                    trace_acc.lock().expect("trace lock").extend(t.drain());
-                }
+    let mut wait_start_us = stitch_timer.as_ref().map_or(0.0, SpanTimer::now_us);
+    let work = |st: &mut Worker, i: usize| -> Result<FrameDone, u64> {
+        let t0 = Instant::now();
+        let start_us = epoch.elapsed().as_secs_f64() * 1e6;
+        let frame_id = frame_span(i as u64);
+        let mut buf = Vec::new();
+        let cycles =
+            st.compress(i, chunks[i], &eff, "parallel.frame.chunk", true, &mut buf, faults)?;
+        if let Some(t) = st.timer.as_mut() {
+            t.complete(
+                format!("tokens frame {i}"),
+                "compress",
+                start_us,
+                span_args(stage_span(frame_id, 0), frame_id),
+            );
+        }
+        let enc_start_us = st.timer.as_ref().map_or(0.0, SpanTimer::now_us);
+        let (codec, payload) = payload_from_tokens(&buf, chunks[i], &params);
+        let ulen =
+            u32::try_from(chunks[i].len()).expect("frame_bytes validated <= MAX_FRAME_BYTES");
+        let seq = u32::try_from(i).expect("frame count exceeds u32");
+        let header = encode_data_header(seq, codec, ulen, &payload);
+        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+        frame.extend_from_slice(&header);
+        frame.extend_from_slice(&payload);
+        if let Some(t) = st.timer.as_mut() {
+            t.complete(
+                format!("encode frame {i}"),
+                "encode",
+                enc_start_us,
+                span_args(stage_span(frame_id, 1), frame_id),
+            );
+            let mut args = span_args(frame_id, ROOT_SPAN);
+            args.push(("bytes", chunks[i].len().into()));
+            args.push(("payload_bytes", payload.len().into()));
+            t.complete(format!("frame {i}"), "frame", start_us, args);
+        }
+        Ok(FrameDone {
+            frame,
+            codec: codec.as_str(),
+            cycles,
+            tokens: buf.len() as u64,
+            encode_us: t0.elapsed().as_secs_f64() * 1e6,
+            start_us,
+        })
+    };
+    // Stitch frames in order while later chunks are still compressing.
+    let stitch = |i: usize, done: Result<FrameDone, u64>| {
+        let done = match done {
+            Ok(done) => done,
+            Err(attempts) => {
+                stitch_error = Some(ParallelError::ChunkFailed { index: i, attempts });
+                return false;
+            }
+        };
+        if let Some(t) = stitch_timer.as_mut() {
+            let frame_id = frame_span(i as u64);
+            t.complete(
+                format!("wait frame {i}"),
+                "stall",
+                wait_start_us,
+                span_args(stage_span(frame_id, 4), frame_id),
+            );
+        }
+        let ulen = chunks[i].len() as u64;
+        entries.push(IndexEntry { header_start: framed.len() as u64, ustart });
+        ustart += ulen;
+        framed.extend_from_slice(&done.frame);
+        if frame_cfg.collect_events {
+            events.push(FrameEvent {
+                seq: i as u32,
+                uncompressed_bytes: ulen,
+                payload_bytes: (done.frame.len() - HEADER_LEN) as u64,
+                codec: done.codec,
+                crc_us: 0.0,
+                encode_us: done.encode_us,
+                start_us: done.start_us,
+                outcome: FrameOutcome::Written,
             });
         }
+        reports.push(ChunkReport {
+            index: i,
+            input_bytes: ulen,
+            cycles: done.cycles,
+            tokens: done.tokens,
+        });
+        wait_start_us = stitch_timer.as_ref().map_or(0.0, SpanTimer::now_us);
+        true
+    };
+    let workers =
+        fan_out(n_chunks, eff.workers, |w| Worker::new(w, epoch, eff.telemetry), work, stitch);
 
-        // Stitch frames in order while later chunks are still compressing.
-        for (i, chunk) in chunks.iter().enumerate() {
-            let wait_start_us = stitch_timer.as_ref().map_or(0.0, SpanTimer::now_us);
-            let state = {
-                let mut guard = slots.lock().expect("slot lock");
-                loop {
-                    if let Some(state) = guard[i].take() {
-                        break state;
-                    }
-                    guard = ready.wait(guard).expect("slot lock");
-                }
-            };
-            let done = match state {
-                Ok(done) => done,
-                Err(attempts) => {
-                    stitch_error = Some(ParallelError::ChunkFailed { index: i, attempts });
-                    break;
-                }
-            };
-            if let Some(t) = stitch_timer.as_mut() {
-                let frame_id = frame_span(i as u64);
-                t.complete(
-                    format!("wait frame {i}"),
-                    "stall",
-                    wait_start_us,
-                    span_args(stage_span(frame_id, 4), frame_id),
-                );
-            }
-            entries.push(IndexEntry { header_start: framed.len() as u64, ustart });
-            ustart += chunk.len() as u64;
-            framed.extend_from_slice(&done.frame);
-            if frame_cfg.collect_events {
-                events.push(FrameEvent {
-                    seq: i as u32,
-                    uncompressed_bytes: chunk.len() as u64,
-                    payload_bytes: (done.frame.len() - HEADER_LEN) as u64,
-                    codec: done.codec,
-                    crc_us: 0.0,
-                    encode_us: done.encode_us,
-                    start_us: done.start_us,
-                    outcome: FrameOutcome::Written,
-                });
-            }
-            reports.push(ChunkReport {
-                index: i,
-                input_bytes: chunk.len() as u64,
-                cycles: done.cycles,
-                tokens: done.tokens,
-            });
-        }
-    });
-
-    let mut failures = failure_acc.into_inner().expect("failure lock");
+    let mut trace_events = stitch_timer.as_mut().map_or_else(Vec::new, SpanTimer::drain);
+    let (mut failures, counters, _) = Worker::merge(workers, &mut trace_events);
     failures.injected = faults.drain_events();
     if let Some(err) = stitch_error {
         return Err(err);
     }
 
-    // Assemble the causal span tree: stitcher spans + worker spans under
-    // one root file span that the frame spans parent to.
-    let trace_events = match stitch_timer {
-        Some(mut t) => {
-            let mut list = t.drain();
-            list.extend(trace_acc.into_inner().expect("trace lock"));
-            let mut root_args = span_args(ROOT_SPAN, 0);
-            root_args.push(("bytes", (data.len() as u64).into()));
-            root_args.push(("frames", (n_chunks as u64).into()));
-            list.insert(
-                0,
-                TraceEvent {
-                    name: "frame compress".to_string(),
-                    cat: "file",
-                    tid: 0,
-                    ts_us: 0.0,
-                    dur_us: epoch.elapsed().as_secs_f64() * 1e6,
-                    args: root_args,
-                },
-            );
-            list
-        }
-        None => Vec::new(),
-    };
+    // The causal span tree: stitcher spans + worker spans under one root
+    // file span that the frame spans parent to.
+    if eff.telemetry {
+        let mut root_args = span_args(ROOT_SPAN, 0);
+        root_args.push(("bytes", (data.len() as u64).into()));
+        root_args.push(("frames", (n_chunks as u64).into()));
+        trace_events.insert(
+            0,
+            TraceEvent {
+                name: "frame compress".to_string(),
+                cat: "file",
+                tid: 0,
+                ts_us: 0.0,
+                dur_us: epoch.elapsed().as_secs_f64() * 1e6,
+                args: root_args,
+            },
+        );
+    }
 
     // Seek index + trailer, byte-identical to FrameWriter's finalize
     // (which accumulates the CRC incrementally).
@@ -1050,7 +1013,7 @@ pub fn compress_frames_parallel_with<F: Failpoints>(
         events,
         counters: eff
             .telemetry
-            .then(|| counter_acc.into_inner().expect("counter lock"))
+            .then_some(counters)
             .filter(|c| c.kernel_runs > 0 || c.literals > 0 || c.matches > 0),
         trace_events,
     })
@@ -1060,7 +1023,8 @@ pub fn compress_frames_parallel_with<F: Failpoints>(
 /// decompressed in parallel (`workers` = 0 uses all cores).
 ///
 /// The serial structure scan comes first — headers are cheap — then the
-/// per-frame CRC + decode work (the expensive part) fans out, and the
+/// per-frame CRC + decode work (the expensive part) fans out, each frame
+/// appended as soon as it and its predecessors are decoded, and the
 /// trailer cross-checks run over the reassembled output. Equivalent to
 /// [`lzfpga_container::unframe`] on every input, valid or not.
 ///
@@ -1069,39 +1033,28 @@ pub fn compress_frames_parallel_with<F: Failpoints>(
 /// several frames are damaged, the lowest-numbered frame's error wins.
 pub fn decompress_frames_parallel(bytes: &[u8], workers: usize) -> Result<Vec<u8>, ContainerError> {
     let structure = check_structure(bytes)?;
-    let n = structure.frames.len();
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(4, |w| w.get())
-    } else {
-        workers
-    }
-    .clamp(1, n.max(1));
-
-    type DecodeSlot = Option<Result<Vec<u8>, ContainerError>>;
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<DecodeSlot>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            let (next, slots, structure) = (&next, &slots, &structure);
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let decoded = decode_frame(bytes, &structure.frames[i]);
-                slots.lock().expect("slot lock")[i] = Some(decoded);
-            });
-        }
-    });
-
-    let slots = slots.into_inner().expect("slot lock");
     let mut out = Vec::new();
     let mut crc = Crc32::new();
-    for slot in slots {
-        let data = slot.expect("every frame index was claimed")?;
-        crc.update(&data);
-        out.extend_from_slice(&data);
-    }
+    let mut result = Ok(());
+    let decode = |_: &mut (), i: usize| decode_frame(bytes, &structure.frames[i]);
+    fan_out(
+        structure.frames.len(),
+        workers,
+        |_| (),
+        decode,
+        |_, decoded| match decoded {
+            Ok(data) => {
+                crc.update(&data);
+                out.extend_from_slice(&data);
+                true
+            }
+            Err(e) => {
+                result = Err(e);
+                false
+            }
+        },
+    );
+    result?;
     finish_stream_checks(&structure, out.len() as u64, crc.finish())?;
     Ok(out)
 }
@@ -1136,9 +1089,12 @@ pub fn decode_range_parallel(
 /// each frame gets the same bounded ladder the compress side uses (three
 /// attempts under [`catch_unwind`], so injected errors count as
 /// `injected_errors` and injected panics as `worker_restarts` in
-/// `report`). A frame whose every attempt was injected away is reported
-/// as [`ContainerError::RangeUnavailable`] at that frame's first
-/// uncompressed offset — the bytes could not be produced, and refusing
+/// `report`), but with no reference rung: `decode_frame` is
+/// deterministic, so a real stream error is final on the first attempt
+/// that is not injected away. A frame whose every attempt was injected
+/// away is reported as [`ContainerError::RangeUnavailable`] at that
+/// frame's first uncompressed offset, and its index in the plan lands in
+/// `report.failed_chunks` — the bytes could not be produced, and refusing
 /// the range is the only answer that never serves wrong bytes.
 ///
 /// # Errors
@@ -1152,80 +1108,44 @@ pub fn decode_range_parallel_with<F: Failpoints>(
     report: &mut FailureReport,
 ) -> Result<Vec<u8>, ContainerError> {
     let (plan, clamped) = plan_range(bytes, range)?;
-    let n = plan.len();
-    if n == 0 {
+    if plan.is_empty() {
         return Ok(Vec::new());
     }
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(4, |w| w.get())
-    } else {
-        workers
-    }
-    .clamp(1, n);
-
-    type DecodeSlot = Option<Result<Vec<u8>, ContainerError>>;
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<DecodeSlot>> = Mutex::new((0..n).map(|_| None).collect());
-    let failure_acc: Mutex<&mut FailureReport> = Mutex::new(report);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let (next, slots, plan, failure_acc) = (&next, &slots, &plan, &failure_acc);
-            s.spawn(move || {
-                let mut local = FailureReport::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // The decode-side ladder: three attempts, each behind
-                    // the failpoint and an unwind boundary. decode_frame
-                    // itself is deterministic, so a real stream error is
-                    // final on the first non-injected attempt.
-                    let mut decoded: DecodeSlot = None;
-                    for attempt in 0..3u32 {
-                        local.attempts += 1;
-                        if attempt == 1 {
-                            local.retries += 1;
-                        }
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            if faults.check("parallel.range.frame") {
-                                return Err(());
-                            }
-                            Ok(decode_frame(bytes, &plan[i].0))
-                        }));
-                        match result {
-                            Ok(Ok(r)) => {
-                                decoded = Some(r);
-                                break;
-                            }
-                            Ok(Err(())) => local.injected_errors += 1,
-                            Err(_panic) => local.worker_restarts += 1,
-                        }
-                    }
-                    let decoded = decoded.unwrap_or_else(|| {
-                        local.failed_chunks.push(i);
-                        Err(ContainerError::RangeUnavailable { offset: plan[i].1 })
-                    });
-                    slots.lock().expect("slot lock")[i] = Some(decoded);
-                }
-                local.failed_chunks.sort_unstable();
-                failure_acc.lock().expect("failure lock").merge(&local);
-            });
-        }
-    });
-
-    let slots = slots.into_inner().expect("slot lock");
     let mut out = Vec::with_capacity((clamped.end - clamped.start) as usize);
-    for (slot, &(_, fstart)) in slots.into_iter().zip(&plan) {
-        let data = slot.expect("every frame index was claimed")?;
-        // decode_frame verified data.len() == the header's ulen, and the
-        // planner verified the header against the frame map — the slice
-        // arithmetic below cannot go out of bounds.
-        let fend = fstart + data.len() as u64;
-        let lo = (clamped.start.max(fstart) - fstart) as usize;
-        let hi = (clamped.end.min(fend) - fstart) as usize;
-        out.extend_from_slice(&data[lo..hi]);
+    let mut result = Ok(());
+    let decode = |local: &mut FailureReport, i: usize| {
+        let rung =
+            |_| (!faults.check("parallel.range.frame")).then(|| decode_frame(bytes, &plan[i].0));
+        ladder(local, i, false, rung, |_, _| {})
+            .unwrap_or(Err(ContainerError::RangeUnavailable { offset: plan[i].1 }))
+    };
+    let ledgers = fan_out(
+        plan.len(),
+        workers,
+        |_| FailureReport::default(),
+        decode,
+        |i, decoded| match decoded {
+            Ok(data) => {
+                // decode_frame verified data.len() == the header's ulen, and
+                // the planner verified the header against the frame map —
+                // the slice arithmetic cannot go out of bounds.
+                let fstart = plan[i].1;
+                let fend = fstart + data.len() as u64;
+                let lo = (clamped.start.max(fstart) - fstart) as usize;
+                let hi = (clamped.end.min(fend) - fstart) as usize;
+                out.extend_from_slice(&data[lo..hi]);
+                true
+            }
+            Err(e) => {
+                result = Err(e);
+                false
+            }
+        },
+    );
+    for local in &ledgers {
+        report.merge(local);
     }
+    result?;
     Ok(out)
 }
 
@@ -1627,6 +1547,135 @@ mod tests {
             matches!(err, ContainerError::PayloadCrc { seq: 2, .. }),
             "expected frame 2 first, got {err}"
         );
+    }
+
+    #[test]
+    fn range_decode_ladder_absorbs_faults_and_refuses_exhausted_frames() {
+        use lzfpga_faults::{FailPlan, FailRule};
+        const FRAME: usize = 16 * 1024;
+        let data = generate(Corpus::Mixed, 41, 8 * FRAME);
+        let frame_cfg =
+            FrameConfig { frame_bytes: FRAME, collect_events: false, ..FrameConfig::default() };
+        let framed =
+            compress_frames_parallel(&data, &turbo_cfg(FRAME, 1), &frame_cfg).unwrap().framed;
+        // Starts inside frame 0, so plan index k is frame k.
+        let (start, end) = (1_000u64, (8 * FRAME - 1_000) as u64);
+        let want = &data[start as usize..end as usize];
+        let decode = |plan: &FailPlan, report: &mut FailureReport| {
+            decode_range_parallel_with(&framed, start..end, 1, plan, report)
+        };
+
+        // One injected error, then one injected panic, both on frame 3
+        // (hits 4 and 5 with one worker): the third attempt serves it.
+        let plan = FailPlan::new(3)
+            .rule(FailRule::new("parallel.range.frame").on_hit(4).errors())
+            .rule(FailRule::new("parallel.range.frame").on_hit(5).panics());
+        let mut report = FailureReport::default();
+        assert_eq!(decode(&plan, &mut report).unwrap(), want);
+        assert_eq!(report.attempts, 8 + 2);
+        assert_eq!(report.retries, 1);
+        assert_eq!(report.injected_errors, 1);
+        assert_eq!(report.worker_restarts, 1);
+        assert!(report.degraded_chunks.is_empty(), "the decode ladder has no reference rung");
+        assert!(report.failed_chunks.is_empty());
+
+        // Three injected failures on frame 5 exhaust its ladder: the range
+        // is refused at the frame's first uncompressed offset.
+        let plan = FailPlan::new(5)
+            .rule(FailRule::new("parallel.range.frame").on_hit(6).times(3).errors());
+        let mut report = FailureReport::default();
+        let err = decode(&plan, &mut report).unwrap_err();
+        assert_eq!(err, ContainerError::RangeUnavailable { offset: 5 * FRAME as u64 });
+        assert_eq!(report.failed_chunks, vec![5]);
+        assert_eq!(report.injected_errors, 3);
+
+        // A really damaged covering frame is final on its first attempt:
+        // the strict error, and no retry counted.
+        let spans = lzfpga_container::frame_spans(&framed).unwrap();
+        let mut bad = framed.clone();
+        bad[spans[2].payload_start] ^= 0x40;
+        let mut report = FailureReport::default();
+        let err =
+            decode_range_parallel_with(&bad, start..end, 1, &NoFaults, &mut report).unwrap_err();
+        assert!(matches!(err, ContainerError::PayloadCrc { seq: 2, .. }), "got {err}");
+        assert_eq!(report.retries, 0);
+        assert_eq!(report.injected_errors + report.worker_restarts, 0);
+        assert!(report.failed_chunks.is_empty());
+    }
+
+    #[test]
+    fn fan_out_consumes_in_index_order() {
+        for workers in [1usize, 2, 8] {
+            for n in [0usize, 1, 37] {
+                let mut seen = Vec::new();
+                // With two or more threads, index 0 waits for the last
+                // index, so every other result lands before it.
+                let rendezvous = std::sync::Barrier::new(2);
+                let work = |ran: &mut usize, i: usize| {
+                    if workers.min(n) > 1 && (i == 0 || i == n - 1) {
+                        rendezvous.wait();
+                    }
+                    *ran += 1;
+                    i * i
+                };
+                let states = fan_out(
+                    n,
+                    workers,
+                    |_| 0usize,
+                    work,
+                    |i, r| {
+                        assert_eq!(r, i * i, "result {i} delivered with its own index");
+                        seen.push(i);
+                        true
+                    },
+                );
+                assert_eq!(seen, (0..n).collect::<Vec<_>>(), "workers {workers}, n {n}");
+                assert_eq!(states.len(), workers.min(n), "one state per worker");
+                assert_eq!(states.iter().sum::<usize>(), n, "every index ran exactly once");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_consumer_can_stop_delivery() {
+        let mut seen = Vec::new();
+        let states = fan_out(
+            37,
+            4,
+            |_| 0usize,
+            |ran, _| *ran += 1,
+            |i, ()| {
+                seen.push(i);
+                i < 5
+            },
+        );
+        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5], "nothing is delivered after a false");
+        assert_eq!(states.iter().sum::<usize>(), 37, "the workers drain the queue and join");
+    }
+
+    #[test]
+    fn fan_out_resumes_a_worker_panic_instead_of_hanging() {
+        for workers in [1usize, 2, 8] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    fan_out(
+                        37,
+                        workers,
+                        |_| (),
+                        |(), i| assert_ne!(i, 2, "work panicked"),
+                        |_, ()| true,
+                    )
+                }));
+                let msg = caught.err().and_then(|p| p.downcast_ref::<String>().cloned());
+                tx.send(msg).unwrap();
+            });
+            let msg = rx.recv_timeout(std::time::Duration::from_secs(60)).expect("fan_out hung");
+            assert!(
+                msg.is_some_and(|m| m.contains("work panicked")),
+                "workers {workers}: the caller gets the worker's panic"
+            );
+        }
     }
 
     #[test]
